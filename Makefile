@@ -7,7 +7,7 @@ GO ?= go
 BENCH_CORE_PATTERN = FreqCacheSharded|WireBatchVsSequential|SweepParallelVsSerial|IndexHistVsScan|RegionPruneParallel|GramParallel|LedgerSpendParallel|LedgerSnapshotReplay|FreqSingleflight|FreqEncodedHit|StoreWarmStart|StreamApply|WindowRelease
 BENCH_CORE_PKGS = ./internal/gsp ./internal/wire ./internal/eval ./internal/index ./internal/attack ./internal/ml ./internal/budget ./internal/stream
 
-.PHONY: all check fmt-check build vet test race bench bench-core bench-diff fuzz-smoke e2e-cluster e2e-stream loadtest loadtest-cluster loadtest-churn loadtest-duphot loadtest-stream repro repro-full cover clean
+.PHONY: all check fmt-check build vet test race bench bench-test bench-core bench-diff fuzz-smoke e2e-cluster e2e-stream loadtest loadtest-cluster loadtest-churn loadtest-duphot loadtest-stream repro repro-full cover clean
 
 all: check
 
@@ -35,6 +35,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-test runs the unit tests of the end-to-end benchmark (oracle,
+# quantiles, -compare, layer attribution). bench/ is a module of its own,
+# so `go test ./...` at the root skips them. Takes ~2 s and starts no
+# daemon.
+bench-test:
+	$(GO) -C bench test ./...
 
 # bench-core runs the PR-critical ablation benchmarks (sharded cache,
 # batched wire queries, parallel sweep engine, histogram index, pooled

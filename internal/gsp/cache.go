@@ -1,6 +1,7 @@
 package gsp
 
 import (
+	"encoding/binary"
 	"math"
 	"runtime"
 	"sort"
@@ -11,17 +12,19 @@ import (
 )
 
 // freqCache is the Service's memoization backend. Implementations must
-// be safe for concurrent use. Stored vectors are private to the cache:
-// put receives a clone and get returns the stored slice, which is never
-// mutated afterwards, so callers may read it without holding any lock
-// (they clone before handing it to users).
+// be safe for concurrent use. Vectors are held packed (appendPacked):
+// put packs the caller's vector — which it does not retain — and returns
+// the packed bytes it stored; get, peek and hottest return stored packed
+// bytes. Bytes a cache has returned are never rewritten, so callers
+// unpack them (unpackFreq) without holding any lock, and must not modify
+// them.
 type freqCache interface {
-	get(k freqKey) (poi.FreqVector, bool)
+	get(k freqKey) ([]byte, bool)
 	// peek is get for the singleflight leader re-check: a present key
 	// counts as a hit (it serves the request), an absent one counts
 	// nothing — the miss was already recorded by the get that led here.
-	peek(k freqKey) (poi.FreqVector, bool)
-	put(k freqKey, f poi.FreqVector)
+	peek(k freqKey) ([]byte, bool)
+	put(k freqKey, f poi.FreqVector) []byte
 	metrics() CacheMetrics
 	// hottest returns up to n live entries ordered by per-entry hit
 	// count, hottest first — the tiered store snapshots these.
@@ -29,11 +32,71 @@ type freqCache interface {
 }
 
 // hotEntry is one cache entry paired with its lifetime hit count; val is
-// the cache's private vector and must not be mutated.
+// the cache's packed vector and must not be mutated.
 type hotEntry struct {
 	key  freqKey
-	val  poi.FreqVector
+	val  []byte
 	hits uint64
+}
+
+// appendPacked appends f to dst in the cache's packed form: for each
+// nonzero count in type order, the uvarint gap from the type after the
+// previous nonzero one, then the varint (zigzag) count. An all-zero
+// vector packs to no bytes. A disk at the paper's radii holds few of a
+// city's types (on average 37 of nyc's 272), so the packed vector is a
+// small fraction of the dense one's 8·M bytes, for any M and any count.
+func appendPacked(dst []byte, f poi.FreqVector) []byte {
+	next := 0
+	for t, n := range f {
+		if n == 0 {
+			continue
+		}
+		gap := uint64(t - next)
+		zz := uint64(int64(n)<<1) ^ uint64(int64(n)>>63) // zigzag, as binary.AppendVarint
+		if gap < 0x80 && zz < 0x80 {
+			dst = append(dst, byte(gap), byte(zz))
+		} else {
+			dst = binary.AppendUvarint(dst, gap)
+			dst = binary.AppendUvarint(dst, zz)
+		}
+		next = t + 1
+	}
+	return dst
+}
+
+// unpackFreq overwrites every entry of out with the vector b packs. b
+// must come from appendPacked over a vector of len(out) types. Gaps and
+// most counts fit one varint byte, so that case is decoded inline.
+func unpackFreq(out poi.FreqVector, b []byte) {
+	clear(out)
+	t := 0
+	for i := 0; i < len(b); {
+		gap := uint64(b[i])
+		if gap < 0x80 {
+			i++
+		} else {
+			gap, i = uvarintAt(b, i)
+		}
+		zz := uint64(b[i])
+		if zz < 0x80 {
+			i++
+		} else {
+			zz, i = uvarintAt(b, i)
+		}
+		t += int(gap)
+		out[t] = int(int64(zz>>1) ^ -int64(zz&1)) // undo the zigzag
+		t++
+	}
+}
+
+// uvarintAt decodes the uvarint at b[i:] and returns it with the index
+// just past it.
+func uvarintAt(b []byte, i int) (uint64, int) {
+	v, k := binary.Uvarint(b[i:])
+	if k <= 0 {
+		panic("gsp: corrupt packed freq vector")
+	}
+	return v, i + k
 }
 
 // CacheMetrics is a point-in-time view of the Freq cache's bookkeeping.
@@ -95,27 +158,50 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// cacheEntry is one memoized Freq result, threaded on its shard's
-// second-chance FIFO queue (head = oldest).
-type cacheEntry struct {
-	key     freqKey
-	val     poi.FreqVector
-	next    *cacheEntry
+// slot is one memoized Freq result: its key, where its packed vector
+// lives in the shard's arena, and its link on the shard's second-chance
+// FIFO queue (or, once evicted, on the free-slot list).
+type slot struct {
+	key    freqKey
+	off, n int   // packed vector = arena[off : off+n]
+	next   int32 // next slot on the FIFO or free list; -1 ends it
+	// touched is the second-chance bit: set by a hit, cleared when the
+	// eviction scan passes the entry over.
 	touched bool
 	// hits counts lookups that returned this entry; the tiered store
 	// ranks entries by it when snapshotting the hottest.
 	hits uint64
 }
 
-// cacheShard is one lock domain of the sharded cache.
+// cacheShard is one lock domain of the sharded cache. No per-entry
+// state holds a pointer: the index maps pointer-free keys to int32 slot
+// numbers, slots link by number, and every packed vector lives in one
+// []byte arena. The runtime allocates all three as no-scan memory, so a
+// GC cycle marks the slot table, the arena and the map's tables (one
+// per up to 1,024 entries) instead of two objects per entry.
 type cacheShard struct {
-	mu      sync.Mutex
-	entries map[freqKey]*cacheEntry
-	head    *cacheEntry // oldest
-	tail    *cacheEntry // newest
-	cap     int
+	mu    sync.Mutex
+	index map[freqKey]int32
+	slots []slot
+	head  int32 // oldest live slot; -1 when empty
+	tail  int32 // newest live slot; -1 when empty
+	free  int32 // first free slot; -1 when none
+	// arena holds the packed vectors. Bytes below len(arena) are never
+	// rewritten: a refresh or an eviction leaves its old bytes dead in
+	// place, and compaction copies the live ones into a fresh arena, so
+	// a slice returned by get stays valid and unchanged after the lock
+	// is released.
+	arena []byte
+	live  int // arena bytes that live slots refer to
+	cap   int
 
 	hits, misses, evictions uint64
+}
+
+func (s *cacheShard) init(capacity int) {
+	s.cap = capacity
+	s.index = make(map[freqKey]int32, min(capacity, 1024))
+	s.head, s.tail, s.free = -1, -1, -1
 }
 
 // shardedCache is the production Freq cache: power-of-two lock shards
@@ -156,8 +242,7 @@ func newShardedCache(capacity int) *shardedCache {
 		if i < extra {
 			sc++
 		}
-		c.shards[i].cap = sc
-		c.shards[i].entries = make(map[freqKey]*cacheEntry, min(sc, 1024))
+		c.shards[i].init(sc)
 	}
 	return c
 }
@@ -166,18 +251,18 @@ func (c *shardedCache) shardFor(k freqKey) *cacheShard {
 	return &c.shards[k.hash()&c.mask]
 }
 
-func (c *shardedCache) get(k freqKey) (poi.FreqVector, bool) {
+func (c *shardedCache) get(k freqKey) ([]byte, bool) {
 	return c.lookup(k, true)
 }
 
-func (c *shardedCache) peek(k freqKey) (poi.FreqVector, bool) {
+func (c *shardedCache) peek(k freqKey) ([]byte, bool) {
 	return c.lookup(k, false)
 }
 
-func (c *shardedCache) lookup(k freqKey, countMiss bool) (poi.FreqVector, bool) {
+func (c *shardedCache) lookup(k freqKey, countMiss bool) ([]byte, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
-	e, ok := s.entries[k]
+	i, ok := s.index[k]
 	if !ok {
 		if countMiss {
 			s.misses++
@@ -186,63 +271,115 @@ func (c *shardedCache) lookup(k freqKey, countMiss bool) (poi.FreqVector, bool) 
 		return nil, false
 	}
 	s.hits++
+	e := &s.slots[i]
 	e.touched = true
 	e.hits++
-	f := e.val
+	b := s.packed(e)
 	s.mu.Unlock()
-	return f, true
+	return b, true
 }
 
-func (c *shardedCache) put(k freqKey, f poi.FreqVector) {
+// packed returns e's bytes, capped so no append through them can reach
+// bytes the shard owns. Caller holds the shard lock.
+func (s *cacheShard) packed(e *slot) []byte {
+	return s.arena[e.off : e.off+e.n : e.off+e.n]
+}
+
+func (c *shardedCache) put(k freqKey, f poi.FreqVector) []byte {
 	s := c.shardFor(k)
 	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
+	off := len(s.arena)
+	s.arena = appendPacked(s.arena, f)
+	n := len(s.arena) - off
+	if i, ok := s.index[k]; ok {
 		// A concurrent miss on the same key beat us here; refresh the
 		// value and recency, keep the size unchanged.
-		e.val = f
+		e := &s.slots[i]
+		s.live += n - e.n
+		e.off, e.n = off, n
 		e.touched = true
-		s.mu.Unlock()
-		return
+	} else {
+		i := s.alloc()
+		s.slots[i] = slot{key: k, off: off, n: n}
+		s.enqueue(i)
+		s.index[k] = i
+		s.live += n
+		if len(s.index) > s.cap {
+			s.evictOne()
+		}
 	}
-	e := &cacheEntry{key: k, val: f}
-	s.enqueue(e)
-	s.entries[k] = e
-	if len(s.entries) > s.cap {
-		s.evictOne()
+	b := s.arena[off : off+n : off+n]
+	if len(s.arena)-s.live > s.live {
+		s.compact()
 	}
 	s.mu.Unlock()
+	return b
 }
 
-// enqueue appends e to the FIFO tail. Caller holds the shard lock.
-func (s *cacheShard) enqueue(e *cacheEntry) {
-	e.next = nil
-	if s.tail != nil {
-		s.tail.next = e
-	} else {
-		s.head = e
+// alloc takes a slot off the free list, or grows the slot table when
+// none is free. Caller holds the shard lock.
+func (s *cacheShard) alloc() int32 {
+	if i := s.free; i >= 0 {
+		s.free = s.slots[i].next
+		return i
 	}
-	s.tail = e
+	s.slots = append(s.slots, slot{})
+	return int32(len(s.slots) - 1)
+}
+
+// enqueue appends slot i to the FIFO tail. Caller holds the shard lock.
+func (s *cacheShard) enqueue(i int32) {
+	s.slots[i].next = -1
+	if s.tail >= 0 {
+		s.slots[s.tail].next = i
+	} else {
+		s.head = i
+	}
+	s.tail = i
 }
 
 // evictOne drops the oldest untouched entry: touched entries popped on
 // the way get their bit cleared and a second chance at the tail. The
 // scan terminates — after one full pass every bit is clear, so the
-// second pass evicts at its first stop. Caller holds the shard lock.
+// second pass evicts at its first stop. The victim's slot goes on the
+// free list and its arena bytes become dead. Caller holds the shard
+// lock.
 func (s *cacheShard) evictOne() {
 	for {
-		e := s.head
+		i := s.head
+		e := &s.slots[i]
 		s.head = e.next
-		if s.head == nil {
-			s.tail = nil
+		if s.head < 0 {
+			s.tail = -1
 		}
 		if !e.touched {
-			delete(s.entries, e.key)
+			delete(s.index, e.key)
+			s.live -= e.n
 			s.evictions++
+			e.next = s.free
+			s.free = i
 			return
 		}
 		e.touched = false
-		s.enqueue(e)
+		s.enqueue(i)
 	}
+}
+
+// compact copies the live entries' bytes into a fresh arena. put calls
+// it once dead bytes outnumber live ones, so the arena stays within
+// about twice the live bytes and each byte written is copied a bounded
+// number of times. The old arena is dropped, never reused, so slices
+// handed out before the compaction keep reading intact bytes. Caller
+// holds the shard lock.
+func (s *cacheShard) compact() {
+	arena := make([]byte, 0, 2*s.live)
+	for i := s.head; i >= 0; i = s.slots[i].next {
+		e := &s.slots[i]
+		off := len(arena)
+		arena = append(arena, s.arena[e.off:e.off+e.n]...)
+		e.off = off
+	}
+	s.arena = arena
 }
 
 func (c *shardedCache) hottest(n int) []hotEntry {
@@ -253,8 +390,9 @@ func (c *shardedCache) hottest(n int) []hotEntry {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for _, e := range s.entries {
-			out = append(out, hotEntry{key: e.key, val: e.val, hits: e.hits})
+		for j := s.head; j >= 0; j = s.slots[j].next {
+			e := &s.slots[j]
+			out = append(out, hotEntry{key: e.key, val: s.packed(e), hits: e.hits})
 		}
 		s.mu.Unlock()
 	}
@@ -287,7 +425,7 @@ func (c *shardedCache) metrics() CacheMetrics {
 		m.Hits += s.hits
 		m.Misses += s.misses
 		m.Evictions += s.evictions
-		m.Size += len(s.entries)
+		m.Size += len(s.index)
 		m.Capacity += s.cap
 		s.mu.Unlock()
 	}
@@ -299,7 +437,7 @@ func (c *shardedCache) metrics() CacheMetrics {
 // baseline for BenchmarkFreqCacheSharded; the Service never uses it.
 type singleLockCache struct {
 	mu      sync.Mutex
-	entries map[freqKey]poi.FreqVector
+	entries map[freqKey][]byte
 	cap     int
 
 	hits, misses, evictions uint64
@@ -307,41 +445,43 @@ type singleLockCache struct {
 
 func newSingleLockCache(capacity int) *singleLockCache {
 	return &singleLockCache{
-		entries: make(map[freqKey]poi.FreqVector, min(capacity, 4096)),
+		entries: make(map[freqKey][]byte, min(capacity, 4096)),
 		cap:     capacity,
 	}
 }
 
-func (c *singleLockCache) get(k freqKey) (poi.FreqVector, bool) {
+func (c *singleLockCache) get(k freqKey) ([]byte, bool) {
 	c.mu.Lock()
-	f, ok := c.entries[k]
+	b, ok := c.entries[k]
 	if ok {
 		c.hits++
 	} else {
 		c.misses++
 	}
 	c.mu.Unlock()
-	return f, ok
+	return b, ok
 }
 
-func (c *singleLockCache) peek(k freqKey) (poi.FreqVector, bool) {
+func (c *singleLockCache) peek(k freqKey) ([]byte, bool) {
 	c.mu.Lock()
-	f, ok := c.entries[k]
+	b, ok := c.entries[k]
 	if ok {
 		c.hits++
 	}
 	c.mu.Unlock()
-	return f, ok
+	return b, ok
 }
 
-func (c *singleLockCache) put(k freqKey, f poi.FreqVector) {
+func (c *singleLockCache) put(k freqKey, f poi.FreqVector) []byte {
+	b := appendPacked(nil, f)
 	c.mu.Lock()
 	if len(c.entries) >= c.cap {
 		c.evictions += uint64(len(c.entries))
 		clear(c.entries)
 	}
-	c.entries[k] = f
+	c.entries[k] = b
 	c.mu.Unlock()
+	return b
 }
 
 func (c *singleLockCache) hottest(n int) []hotEntry {

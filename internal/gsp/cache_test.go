@@ -87,8 +87,17 @@ func TestFreqCacheShardedRaceStress(t *testing.T) {
 			wg.Wait()
 
 			m := svc.CacheMetrics()
-			if got := m.Hits + m.Misses; got != ops.Load() {
-				t.Errorf("hits+misses = %d, want %d lookups", got, ops.Load())
+			// Every lookup counts one hit or one miss, except a miss
+			// the singleflight leader re-check rescues, which counts
+			// one of each (CacheMetrics). Every other miss led or
+			// joined a computation.
+			sf := svc.SingleflightMetrics()
+			if sf.Leader+sf.Hits > m.Misses {
+				t.Fatalf("leaders %d + joiners %d exceed misses %d", sf.Leader, sf.Hits, m.Misses)
+			}
+			rescued := m.Misses - sf.Leader - sf.Hits
+			if got := m.Hits + m.Misses; got != ops.Load()+rescued {
+				t.Errorf("hits+misses = %d, want %d lookups + %d rescued misses", got, ops.Load(), rescued)
 			}
 			if m.Capacity != capacity {
 				t.Errorf("capacity = %d, want %d", m.Capacity, capacity)
@@ -151,8 +160,7 @@ func TestFreqCacheHotKeysSurviveEviction(t *testing.T) {
 // access pattern).
 func TestFreqCacheLRUOrder(t *testing.T) {
 	c := &shardedCache{shards: make([]cacheShard, 1)}
-	c.shards[0].cap = 2
-	c.shards[0].entries = make(map[freqKey]*cacheEntry)
+	c.shards[0].init(2)
 	k := func(i int) freqKey { return freqKey{x: float64(i)} }
 	v := poi.FreqVector{1}
 
@@ -174,6 +182,100 @@ func TestFreqCacheLRUOrder(t *testing.T) {
 	m := c.metrics()
 	if m.Evictions != 1 || m.Size != 2 {
 		t.Errorf("evictions=%d size=%d, want 1/2", m.Evictions, m.Size)
+	}
+}
+
+// TestPackedRoundTrip is the packed encoding's property test: random
+// vectors of 1 to 4,096 types at every density with counts up to 2^40,
+// plus the all-zero vector and vectors whose only nonzero type is the
+// first or the last, must unpack to exactly the vector packed. Vectors
+// are packed back to back into one buffer, as a shard's arena holds
+// them, and each is unpacked into a buffer poisoned with -77, which
+// every slot must overwrite.
+func TestPackedRoundTrip(t *testing.T) {
+	src := rng.New(13)
+	var vecs []poi.FreqVector
+	for _, m := range []int{1, 2, 127, 128, 129, 272, 4096} {
+		first, last := poi.NewFreqVector(m), poi.NewFreqVector(m)
+		first[0], last[m-1] = 1<<40, 1<<40
+		vecs = append(vecs, poi.NewFreqVector(m), first, last)
+	}
+	for i := 0; i < 500; i++ {
+		f := poi.NewFreqVector(1 + src.IntN(4096))
+		density := src.Float64()
+		for j := range f {
+			if src.Float64() < density {
+				// 1 to 2^40, spread over every varint length.
+				f[j] = 1 + int(src.Uint64()>>(24+src.IntN(40)))
+			}
+		}
+		vecs = append(vecs, f)
+	}
+	var arena []byte
+	offs := make([]int, len(vecs)+1)
+	for i, f := range vecs {
+		arena = appendPacked(arena, f)
+		offs[i+1] = len(arena)
+	}
+	for i, want := range vecs {
+		got := poi.NewFreqVector(len(want))
+		for j := range got {
+			got[j] = -77
+		}
+		unpackFreq(got, arena[offs[i]:offs[i+1]])
+		if !got.Equal(want) {
+			t.Fatalf("vector %d (M=%d): round trip changed it", i, len(want))
+		}
+	}
+}
+
+// TestFreqCacheArenaBound pins the arena's compaction bound under churn
+// with refreshes: after every put each shard's dead bytes are at most
+// its live bytes, the live count is exactly the bytes its entries refer
+// to, and every live entry unpacks to the vector last stored under its
+// key.
+func TestFreqCacheArenaBound(t *testing.T) {
+	const m = 50
+	c := newShardedCache(32)
+	src := rng.New(17)
+	want := map[freqKey]poi.FreqVector{}
+	prevLen := make([]int, len(c.shards))
+	compactions := 0
+	for i := 0; i < 5000; i++ {
+		k := freqKey{x: float64(src.IntN(200)), r: 1}
+		f := poi.NewFreqVector(m)
+		for j := src.IntN(20); j >= 0; j-- {
+			f[src.IntN(m)] = src.IntN(1000)
+		}
+		c.put(k, f)
+		want[k] = f
+		for j := range c.shards {
+			s := &c.shards[j]
+			refs := 0
+			for _, si := range s.index {
+				refs += s.slots[si].n
+			}
+			if refs != s.live {
+				t.Fatalf("put %d shard %d: live=%d, entries refer to %d bytes", i, j, s.live, refs)
+			}
+			if dead := len(s.arena) - s.live; dead > s.live {
+				t.Fatalf("put %d shard %d: %d dead bytes exceed %d live", i, j, dead, s.live)
+			}
+			if len(s.arena) < prevLen[j] {
+				compactions++
+			}
+			prevLen[j] = len(s.arena)
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no shard ever compacted; test is vacuous")
+	}
+	got := poi.NewFreqVector(m)
+	for _, e := range c.hottest(1 << 30) {
+		unpackFreq(got, e.val)
+		if !got.Equal(want[e.key]) {
+			t.Fatalf("key %v: cached %v, last stored %v", e.key, got, want[e.key])
+		}
 	}
 }
 

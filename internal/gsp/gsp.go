@@ -207,10 +207,11 @@ func (s *Service) Freq(l geo.Point, r float64) poi.FreqVector {
 
 // FreqInto fills out — a caller-owned buffer whose length must equal
 // City().M() — with the frequency vector Freq(l, r) would return,
-// without allocating: a cache hit is a single copy into the buffer, a
-// miss counts directly into it. It is the zero-allocation core of the
-// attack kernels, whose pruning loops issue millions of Freq probes and
-// discard each vector immediately (Freq itself is a thin wrapper).
+// without allocating: a cache hit unpacks the cached counts into the
+// buffer, a miss counts directly into it. It is the zero-allocation
+// core of the attack kernels, whose pruning loops issue millions of
+// Freq probes and discard each vector immediately (Freq itself is a
+// thin wrapper).
 func (s *Service) FreqInto(out poi.FreqVector, l geo.Point, r float64) {
 	if len(out) != s.city.M() {
 		panic(fmt.Sprintf("gsp: FreqInto: buffer dimension %d, city has %d types", len(out), s.city.M()))
@@ -221,8 +222,8 @@ func (s *Service) FreqInto(out poi.FreqVector, l geo.Point, r float64) {
 		return
 	}
 	key := freqKey{x: l.X, y: l.Y, r: r}
-	if f, ok := s.cache.get(key); ok {
-		copy(out, f)
+	if b, ok := s.cache.get(key); ok {
+		unpackFreq(out, b)
 		return
 	}
 	s.freqMiss(out, key, l, r)

@@ -15,10 +15,10 @@ package gsp
 // cache under the inflight lock); the reverse edge never occurs — no
 // cache-lock holder touches the inflight table.
 //
-// The cache's private-vector contract is preserved: the leader computes
-// into its caller's buffer, installs one clone in the cache, and
-// publishes that same clone to joiners, each of which copies it into its
-// own buffer. Nobody ever hands out a shared mutable slice.
+// The cache's contract is preserved: the leader computes into its
+// caller's buffer, packs it once into the cache, and publishes the
+// packed bytes the cache stored to joiners, each of which unpacks them
+// into its own buffer. Nobody ever hands out a shared mutable slice.
 //
 // A leader that panics (a poisoned index, a bug) must not poison its
 // joiners: the call is unregistered and completed by a defer with its ok
@@ -45,8 +45,8 @@ const (
 // them lock-free once done is closed.
 type sfCall struct {
 	done chan struct{}
-	val  poi.FreqVector // the clone installed in the cache; read-only
-	ok   bool           // false when the leader panicked before finishing
+	val  []byte // the packed vector installed in the cache; read-only
+	ok   bool   // false when the leader panicked before finishing
 }
 
 // inflight is the per-key duplicate-miss table.
@@ -121,14 +121,12 @@ func (s *Service) SetSingleflight(on bool) {
 	}
 }
 
-// computeInto fills out with a fresh CountTypes result, installs a clone
-// in the cache, and returns that clone.
-func (s *Service) computeInto(out poi.FreqVector, key freqKey, l geo.Point, r float64) poi.FreqVector {
+// computeInto fills out with a fresh CountTypes result, packs it into
+// the cache, and returns the packed bytes the cache stored.
+func (s *Service) computeInto(out poi.FreqVector, key freqKey, l geo.Point, r float64) []byte {
 	clear(out)
 	s.city.idx.CountTypes(out, l, r)
-	f := out.Clone()
-	s.cache.put(key, f)
-	return f
+	return s.cache.put(key, out)
 }
 
 // freqMiss resolves a cache miss, collapsing concurrent duplicates onto
@@ -147,7 +145,7 @@ func (s *Service) freqMiss(out poi.FreqVector, key freqKey, l geo.Point, r float
 		<-c.done
 		if c.ok {
 			sf.shared.Add(1)
-			copy(out, c.val)
+			unpackFreq(out, c.val)
 			return
 		}
 		// The leader panicked; its panic is not ours to re-raise (our
@@ -161,9 +159,9 @@ func (s *Service) freqMiss(out poi.FreqVector, key freqKey, l geo.Point, r float
 	// (put happens before the call is unregistered, so if the call is
 	// gone the value is visible). Without this, that window would admit
 	// a second compute of the same key.
-	if f, ok := s.cache.peek(key); ok {
+	if b, ok := s.cache.peek(key); ok {
 		sh.mu.Unlock()
-		copy(out, f)
+		unpackFreq(out, b)
 		return
 	}
 	c := &sfCall{done: make(chan struct{})}

@@ -152,6 +152,42 @@ func WriteStore(path string, city *City, entries []StoreEntry) error {
 // ReadStore loads and validates a snapshot for city. Every validation
 // failure wraps ErrStoreInvalid; a missing file surfaces as fs.ErrNotExist.
 func ReadStore(path string, city *City) ([]StoreEntry, error) {
+	recs, err := readRecords(path, city)
+	if err != nil {
+		return nil, err
+	}
+	m := city.M()
+	entries := make([]StoreEntry, len(recs)/storeRecordSize(m))
+	for i := range entries {
+		f := poi.NewFreqVector(m)
+		l, r := decodeRecord(recs, i, f)
+		entries[i] = StoreEntry{L: l, R: r, Freq: f}
+	}
+	return entries, nil
+}
+
+// decodeRecord fills f, which has the snapshot's M types, with record
+// i's counts and returns the record's key.
+func decodeRecord(recs []byte, i int, f poi.FreqVector) (geo.Point, float64) {
+	rec := recs[i*storeRecordSize(len(f)):]
+	for j := range f {
+		f[j] = int(binary.LittleEndian.Uint32(rec[24+4*j:]))
+	}
+	return recordKey(rec)
+}
+
+// recordKey decodes the location and radius a record starts with.
+func recordKey(rec []byte) (geo.Point, float64) {
+	x := math.Float64frombits(binary.LittleEndian.Uint64(rec))
+	y := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
+	r := math.Float64frombits(binary.LittleEndian.Uint64(rec[16:]))
+	return geo.Point{X: x, Y: y}, r
+}
+
+// readRecords reads the snapshot at path, validates all of it for city —
+// header, length, checksum and every record's key — and returns its
+// record bytes.
+func readRecords(path string, city *City) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -187,23 +223,12 @@ func ReadStore(path string, city *City) ([]StoreEntry, error) {
 	if sum := binary.LittleEndian.Uint64(data[40:]); sum != storeChecksum(data[storeHeaderSize:]) {
 		return nil, reject("record checksum %016x does not match contents", sum)
 	}
-	entries := make([]StoreEntry, count)
-	off := storeHeaderSize
-	for i := range entries {
-		x := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		y := math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:]))
-		r := math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:]))
-		if !isFiniteF(x) || !isFiniteF(y) || !isFiniteF(r) || r <= 0 {
-			return nil, reject("record %d has non-finite or non-positive key", i)
+	for off := storeHeaderSize; off < len(data); off += rec {
+		if l, r := recordKey(data[off:]); !isFiniteF(l.X) || !isFiniteF(l.Y) || !isFiniteF(r) || r <= 0 {
+			return nil, reject("record %d has non-finite or non-positive key", (off-storeHeaderSize)/rec)
 		}
-		f := poi.NewFreqVector(m)
-		for j := range f {
-			f[j] = int(binary.LittleEndian.Uint32(data[off+24+4*j:]))
-		}
-		entries[i] = StoreEntry{L: geo.Point{X: x, Y: y}, R: r, Freq: f}
-		off += rec
 	}
-	return entries, nil
+	return data[storeHeaderSize:], nil
 }
 
 func isFiniteF(v float64) bool {
@@ -221,11 +246,9 @@ func (s *Service) HotEntries(n int) []StoreEntry {
 	hot := s.cache.hottest(n)
 	out := make([]StoreEntry, len(hot))
 	for i, e := range hot {
-		out[i] = StoreEntry{
-			L:    geo.Point{X: e.key.x, Y: e.key.y},
-			R:    e.key.r,
-			Freq: e.val.Clone(),
-		}
+		f := poi.NewFreqVector(s.city.M())
+		unpackFreq(f, e.val)
+		out[i] = StoreEntry{L: geo.Point{X: e.key.x, Y: e.key.y}, R: e.key.r, Freq: f}
 	}
 	return out
 }
@@ -255,7 +278,7 @@ func (s *Service) WarmStart(path string) (int, error) {
 	if s.cache == nil {
 		return 0, nil
 	}
-	entries, err := ReadStore(path, s.city)
+	recs, err := readRecords(path, s.city)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
 	}
@@ -263,13 +286,19 @@ func (s *Service) WarmStart(path string) (int, error) {
 		s.storeRejected.Add(1)
 		return 0, err
 	}
-	for _, e := range entries {
-		// ReadStore built the vectors fresh, so ownership transfers to
-		// the cache without another clone.
-		s.cache.put(freqKey{x: e.L.X, y: e.L.Y, r: e.R}, e.Freq)
+	// Seed coldest first. The second-chance FIFO evicts its oldest
+	// untouched entry, so when a shard overflows — a snapshot near
+	// capacity loaded where more shards split each old one smaller — it
+	// sheds the snapshot's coldest entries and keeps its hottest. Each
+	// record is decoded into one reused vector, which put packs.
+	f := poi.NewFreqVector(s.city.M())
+	n := len(recs) / storeRecordSize(len(f))
+	for i := n - 1; i >= 0; i-- {
+		l, r := decodeRecord(recs, i, f)
+		s.cache.put(freqKey{x: l.X, y: l.Y, r: r}, f)
 	}
-	s.storeWarmed.Add(uint64(len(entries)))
-	return len(entries), nil
+	s.storeWarmed.Add(uint64(n))
+	return n, nil
 }
 
 // StoreFileName is the snapshot file the daemons keep under -store-dir.

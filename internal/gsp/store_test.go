@@ -131,6 +131,58 @@ func TestStoreWarmStartMissingFileIsColdStart(t *testing.T) {
 	}
 }
 
+// TestStoreWarmStartOverflowKeepsHottest is the seeding-order
+// regression test: warm-starting from a snapshot that holds twice the
+// cache's capacity must leave, in every shard, exactly that shard's
+// hottest snapshot entries. Seeding in snapshot (hottest-first) order
+// makes every shard that overflows evict its hottest entries, since the
+// second-chance FIFO's oldest untouched entry is the first inserted.
+func TestStoreWarmStartOverflowKeepsHottest(t *testing.T) {
+	city := cacheCity(t, 3000, 40)
+	const capacity = 64
+	bare := NewService(city, 0)
+	src := rng.New(61)
+	// Snapshot order is hottest first.
+	entries := make([]StoreEntry, 2*capacity)
+	for i := range entries {
+		x, y := src.UniformIn(0, 0, 20_000, 20_000)
+		l := geo.Point{X: x, Y: y}
+		entries[i] = StoreEntry{L: l, R: 800, Freq: bare.Freq(l, 800)}
+	}
+	path := filepath.Join(t.TempDir(), StoreFileName)
+	if err := WriteStore(path, city, entries); err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(city, capacity)
+	if _, err := svc.WarmStart(path); err != nil {
+		t.Fatal(err)
+	}
+	live := map[freqKey]bool{}
+	for _, e := range svc.HotEntries(1 << 30) {
+		live[freqKey{x: e.L.X, y: e.L.Y, r: e.R}] = true
+	}
+	c := svc.cache.(*shardedCache)
+	seen := make([]int, len(c.shards)) // a shard's entries so far, hottest first
+	for i, e := range entries {
+		k := freqKey{x: e.L.X, y: e.L.Y, r: e.R}
+		sh := k.hash() & c.mask
+		if want := seen[sh] < c.shards[sh].cap; live[k] != want {
+			t.Errorf("snapshot entry %d, shard %d's #%d hottest of capacity %d: live=%v, want %v",
+				i, sh, seen[sh], c.shards[sh].cap, live[k], want)
+		}
+		seen[sh]++
+	}
+	overflowed := 0
+	for i, n := range seen {
+		if n > c.shards[i].cap {
+			overflowed++
+		}
+	}
+	if overflowed == 0 {
+		t.Fatal("no shard overflowed; test is vacuous")
+	}
+}
+
 // TestStoreCorruptionMatrix drives every corruption class through
 // WarmStart: all must reject with ErrStoreInvalid, bump
 // gsp.store.rejected, leave the cache untouched, and fall back to a
