@@ -7,7 +7,7 @@ GO ?= go
 BENCH_CORE_PATTERN = FreqCacheSharded|WireBatchVsSequential|SweepParallelVsSerial|IndexHistVsScan|RegionPruneParallel|GramParallel|LedgerSpendParallel|LedgerSnapshotReplay|FreqSingleflight|FreqEncodedHit|StoreWarmStart|StreamApply|WindowRelease
 BENCH_CORE_PKGS = ./internal/gsp ./internal/wire ./internal/eval ./internal/index ./internal/attack ./internal/ml ./internal/budget ./internal/stream
 
-.PHONY: all check fmt-check build vet test race bench bench-test bench-core bench-diff fuzz-smoke e2e-cluster e2e-stream loadtest loadtest-cluster loadtest-churn loadtest-duphot loadtest-stream repro repro-full cover clean
+.PHONY: all check fmt-check build vet test race bench bench-test bench-core bench-diff fuzz-smoke e2e-cluster e2e-stream loadtest loadtest-cluster loadtest-churn loadtest-duphot loadtest-stream repro repro-full cover loc clean
 
 all: check
 
@@ -171,6 +171,14 @@ repro-full:
 
 cover:
 	$(GO) test -cover ./...
+
+# loc prints the non-test Go lines of every directory under internal/
+# and cmd/, plus their total: the size report a change that shrinks the
+# code quotes before and after.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'
 
 clean:
 	$(GO) clean ./...

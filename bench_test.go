@@ -108,11 +108,9 @@ func BenchmarkExtRobust(b *testing.B) { benchFigure(b, "ext-robust") }
 // (sequence attack against ledger-throttled release runs).
 func BenchmarkExtBudget(b *testing.B) { benchFigure(b, "ext-budget") }
 
-// BenchmarkGSPServerParallel prices the observability middleware: the
-// same /v1/freq workload through the instrumented handler (metrics +
-// operational endpoints) and the bare one, driven from all procs in
-// parallel as a production GSP would be. The instrumented/bare delta is
-// the middleware's overhead, recorded in DESIGN.md.
+// BenchmarkGSPServerParallel prices the full server chain (metrics,
+// operational endpoints, request log) on the /v1/freq workload, driven
+// from all procs in parallel as a production GSP would be.
 func BenchmarkGSPServerParallel(b *testing.B) {
 	p := citygen.Beijing(51)
 	p.NumPOIs = 2000
@@ -123,31 +121,21 @@ func BenchmarkGSPServerParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	svc := gsp.NewService(city.City, 1<<14)
-	discard := log.New(io.Discard, "", 0)
 	l := city.RandomLocations(1, 52)[0]
 	target := fmt.Sprintf("/v1/freq?x=%f&y=%f&r=700", l.X, l.Y)
-
-	for _, variant := range []struct {
-		name         string
-		instrumented bool
-	}{{"instrumented", true}, {"bare", false}} {
-		b.Run(variant.name, func(b *testing.B) {
-			handler := wire.NewGSPServer(svc,
-				wire.WithLogger(discard),
-				wire.WithInstrumentation(variant.instrumented),
-			)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					req := httptest.NewRequest(http.MethodGet, target, nil)
-					rec := httptest.NewRecorder()
-					handler.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						b.Fatalf("status %d", rec.Code)
-					}
+	handler := wire.NewGSPServer(svc, wire.WithLogger(log.New(io.Discard, "", 0)))
+	b.Run("instrumented", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				req := httptest.NewRequest(http.MethodGet, target, nil)
+				rec := httptest.NewRecorder()
+				handler.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d", rec.Code)
 				}
-			})
+			}
 		})
-	}
+	})
 }

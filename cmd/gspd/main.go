@@ -27,11 +27,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -51,43 +49,51 @@ func main() {
 	}
 }
 
+// config is the parsed flag set.
+type config struct {
+	server        *wire.ServerFlags
+	cityName      string
+	seed          uint64
+	load          string
+	maxRadius     float64
+	storeDir      string
+	storeTop      int
+	storeInterval time.Duration
+}
+
+// declareFlags declares gspd's flags on fs.
+func declareFlags(fs *flag.FlagSet) *config {
+	cfg := &config{server: wire.DeclareServerFlags(fs, ":8080")}
+	fs.StringVar(&cfg.cityName, "city", "beijing", "synthetic city preset: beijing or nyc")
+	fs.Uint64Var(&cfg.seed, "seed", 1, "generation seed")
+	fs.StringVar(&cfg.load, "load", "", "load a city snapshot (dataset JSON) instead of generating")
+	fs.Float64Var(&cfg.maxRadius, "max-radius", 10_000, "maximum accepted query radius in meters")
+	fs.StringVar(&cfg.storeDir, "store-dir", "", "directory for the disk-backed freq store; warm-starts the cache on boot and snapshots the hottest entries on a cadence and at shutdown (empty disables)")
+	fs.IntVar(&cfg.storeTop, "store-top", 4096, "freq store: snapshot at most this many hottest cache entries")
+	fs.DurationVar(&cfg.storeInterval, "store-interval", 5*time.Minute, "freq store: snapshot cadence (0 snapshots only at shutdown)")
+	return cfg
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("gspd", flag.ContinueOnError)
-	addr := fs.String("addr", ":8080", "listen address")
-	cityName := fs.String("city", "beijing", "synthetic city preset: beijing or nyc")
-	seed := fs.Uint64("seed", 1, "generation seed")
-	load := fs.String("load", "", "load a city snapshot (dataset JSON) instead of generating")
-	maxRadius := fs.Float64("max-radius", 10_000, "maximum accepted query radius in meters")
-	statsInterval := fs.Duration("stats-interval", time.Minute, "periodic traffic summary log interval (0 disables)")
-	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
-	admitLimit := fs.Int("admit-limit", 0, "admission control: max concurrent request weight (0 disables)")
-	admitQueue := fs.Int("admit-queue", 128, "admission control: max requests waiting for a slot")
-	admitTimeout := fs.Duration("admit-timeout", 500*time.Millisecond, "admission control: max queue wait before shedding")
-	maxBody := fs.Int64("max-body", wire.DefaultMaxBody, "maximum accepted POST body in bytes")
-	authKeys := fs.String("auth-keys", "", "require signed requests; principal=hexkey[,principal=hexkey...] or @file with one pair per line (empty disables auth)")
-	authWindow := fs.Duration("auth-window", wire.DefaultAuthWindow, "signed-request timestamp validity window")
-	storeDir := fs.String("store-dir", "", "directory for the disk-backed freq store; warm-starts the cache on boot and snapshots the hottest entries on a cadence and at shutdown (empty disables)")
-	storeTop := fs.Int("store-top", 4096, "freq store: snapshot at most this many hottest cache entries")
-	storeInterval := fs.Duration("store-interval", 5*time.Minute, "freq store: snapshot cadence (0 snapshots only at shutdown)")
+	cfg := declareFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	city, err := buildCity(*load, *cityName, *seed)
+	city, err := buildCity(cfg.load, cfg.cityName, cfg.seed)
 	if err != nil {
 		return err
 	}
 	svc := gsp.NewService(city, 1<<18)
 	logger := log.New(os.Stderr, "gspd ", log.LstdFlags)
-	reg := obs.NewRegistry()
-	svc.ExportMetrics(reg)
 
 	var storePath string
-	if *storeDir != "" {
-		if err := os.MkdirAll(*storeDir, 0o755); err != nil {
+	if cfg.storeDir != "" {
+		if err := os.MkdirAll(cfg.storeDir, 0o755); err != nil {
 			return fmt.Errorf("create store dir: %w", err)
 		}
-		storePath = gsp.StorePath(*storeDir)
+		storePath = gsp.StorePath(cfg.storeDir)
 		// A rejected snapshot (stale city build, corruption) is a cold
 		// start, not a fatal error: log it and keep serving.
 		if n, err := svc.WarmStart(storePath); err != nil {
@@ -96,52 +102,32 @@ func run(args []string) error {
 			logger.Printf("freq store: warm start with %d entries from %s", n, storePath)
 		}
 	}
-	opts := []wire.GSPServerOption{
-		wire.WithLogger(logger),
-		wire.WithMaxRadius(*maxRadius),
-		wire.WithMetrics(reg),
-		wire.WithPprof(*pprofOn),
-		wire.WithMaxBody(*maxBody),
+	opts, err := cfg.server.Options(logger)
+	if err != nil {
+		return err
 	}
-	if *admitLimit > 0 {
-		opts = append(opts, wire.WithAdmission(*admitLimit, *admitQueue, *admitTimeout))
-		logger.Printf("admission control on: limit %d, queue %d, wait %v",
-			*admitLimit, *admitQueue, *admitTimeout)
-	}
-	if *authKeys != "" {
-		kr, err := wire.LoadKeyring(*authKeys)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, wire.WithAuth(kr, wire.WithAuthWindow(*authWindow)))
-		logger.Printf("request signing required: %d principals, ±%v window", kr.Len(), *authWindow)
-	}
-	handler := wire.NewGSPServer(svc, opts...)
-	if *pprofOn {
-		logger.Printf("pprof profiling enabled at %s", wire.PathPprof)
-	}
+	srv := wire.NewGSPServer(svc, append(opts, wire.WithMaxRadius(cfg.maxRadius))...)
+	svc.ExportMetrics(srv.Metrics())
 
-	obsCtx, obsCancel := context.WithCancel(context.Background())
-	defer obsCancel()
-	obs.StartSummary(obsCtx, logger, reg, *statsInterval)
-
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	saveStore := func(when string) {
 		if storePath == "" {
 			return
 		}
-		if n, err := svc.SaveStore(storePath, *storeTop); err != nil {
+		if n, err := svc.SaveStore(storePath, cfg.storeTop); err != nil {
 			logger.Printf("freq store: snapshot (%s) failed: %v", when, err)
 		} else {
 			logger.Printf("freq store: snapshot (%s): %d entries to %s", when, n, storePath)
 		}
 	}
-	if storePath != "" && *storeInterval > 0 {
+	if storePath != "" && cfg.storeInterval > 0 {
 		go func() {
-			tick := time.NewTicker(*storeInterval)
+			tick := time.NewTicker(cfg.storeInterval)
 			defer tick.Stop()
 			for {
 				select {
-				case <-obsCtx.Done():
+				case <-ctx.Done():
 					return
 				case <-tick.C:
 					saveStore("periodic")
@@ -150,43 +136,15 @@ func run(args []string) error {
 		}()
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("serving %s (%d POIs, %d types) on %s (metrics at %s)",
-			city.Name, city.NumPOIs(), city.M(), *addr, obs.PathMetrics)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case sig := <-stop:
-		logger.Printf("received %v, shutting down", sig)
-		// Flip /readyz to 503 first so load balancers stop routing new
-		// work here while Shutdown lets in-flight requests finish.
-		handler.Drain()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		err := srv.Shutdown(ctx)
-		// Snapshot after Shutdown so the hit counts of the final
+	logger.Printf("serving %s (%d POIs, %d types) on %s (metrics at %s)",
+		city.Name, city.NumPOIs(), city.M(), cfg.server.Addr, obs.PathMetrics)
+	err = srv.ListenAndServe(ctx, cfg.server.Addr)
+	if ctx.Err() != nil {
+		// Snapshot after the shutdown so the hit counts of the final
 		// in-flight requests make it into the ranking.
 		saveStore("shutdown")
-		return err
 	}
+	return err
 }
 
 func buildCity(load, cityName string, seed uint64) (*gsp.City, error) {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"poiagg/internal/citygen"
@@ -50,5 +52,36 @@ func TestBuildCityFromSnapshot(t *testing.T) {
 	}
 	if _, err := buildCity(filepath.Join(t.TempDir(), "missing.json"), "", 0); err == nil {
 		t.Error("missing snapshot accepted")
+	}
+}
+
+// TestFlagSurface pins every flag's name and default: scripts and the
+// benchmark start gspd with these flags, so moving a flag between files
+// must not rename it or change its default.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr=:8080",
+		"admit-limit=0",
+		"admit-queue=128",
+		"admit-timeout=500ms",
+		"auth-keys=",
+		"auth-window=2m0s",
+		"city=beijing",
+		"load=",
+		"max-body=1048576",
+		"max-radius=10000",
+		"pprof=false",
+		"seed=1",
+		"stats-interval=1m0s",
+		"store-dir=",
+		"store-interval=5m0s",
+		"store-top=4096",
+	}
+	fs := flag.NewFlagSet("gspd", flag.ContinueOnError)
+	declareFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
+	if !slices.Equal(got, want) {
+		t.Errorf("flags changed:\ngot  %q\nwant %q", got, want)
 	}
 }

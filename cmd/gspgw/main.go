@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -58,7 +57,7 @@ func main() {
 // config is the parsed flag set, separated from run so tests can cover
 // the flag → gateway wiring without binding sockets.
 type config struct {
-	addr          string
+	server        *wire.ServerFlags
 	peers         []string
 	vnodes        int
 	cellSize      float64
@@ -74,21 +73,13 @@ type config struct {
 	peerTimeout   time.Duration
 	peerAuthKey   string
 	maxRadius     float64
-	maxBody       int64
 	maxBatch      int
-	admitLimit    int
-	admitQueue    int
-	admitTimeout  time.Duration
-	authKeys      string
-	authWindow    time.Duration
-	statsInterval time.Duration
-	pprofOn       bool
 }
 
-func parseConfig(args []string) (*config, error) {
-	cfg := &config{}
-	fs := flag.NewFlagSet("gspgw", flag.ContinueOnError)
-	fs.StringVar(&cfg.addr, "addr", ":8079", "listen address")
+// declareFlags declares gspgw's flags on fs; -peers lands in *peers
+// until parseConfig splits it.
+func declareFlags(fs *flag.FlagSet) (*config, *string) {
+	cfg := &config{server: wire.DeclareServerFlags(fs, ":8079")}
 	peers := fs.String("peers", "", "comma-separated gspd shard base URLs (required)")
 	fs.IntVar(&cfg.vnodes, "vnodes", cluster.DefaultVirtualNodes, "virtual nodes per shard on the hash ring")
 	fs.Float64Var(&cfg.cellSize, "cell", cluster.DefaultCellSize, "routing grid cell size in meters")
@@ -104,15 +95,13 @@ func parseConfig(args []string) (*config, error) {
 	fs.DurationVar(&cfg.peerTimeout, "peer-timeout", 5*time.Second, "per-attempt timeout for shard calls")
 	fs.StringVar(&cfg.peerAuthKey, "peer-auth-key", "", "principal=hexkey the gateway signs shard calls with (for auth-enabled shards)")
 	fs.Float64Var(&cfg.maxRadius, "max-radius", 10_000, "maximum accepted query radius in meters (must match the shards)")
-	fs.Int64Var(&cfg.maxBody, "max-body", wire.DefaultMaxBody, "maximum accepted POST body in bytes")
 	fs.IntVar(&cfg.maxBatch, "max-batch", wire.DefaultMaxBatch, "maximum items per batch request (must match the shards)")
-	fs.IntVar(&cfg.admitLimit, "admit-limit", 0, "admission control: max concurrent request weight (0 disables)")
-	fs.IntVar(&cfg.admitQueue, "admit-queue", 128, "admission control: max requests waiting for a slot")
-	fs.DurationVar(&cfg.admitTimeout, "admit-timeout", 500*time.Millisecond, "admission control: max queue wait before shedding")
-	fs.StringVar(&cfg.authKeys, "auth-keys", "", "require signed client requests; principal=hexkey[,...] or @file (empty disables auth)")
-	fs.DurationVar(&cfg.authWindow, "auth-window", wire.DefaultAuthWindow, "signed-request timestamp validity window")
-	fs.DurationVar(&cfg.statsInterval, "stats-interval", time.Minute, "periodic traffic summary log interval (0 disables)")
-	fs.BoolVar(&cfg.pprofOn, "pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
+	return cfg, peers
+}
+
+func parseConfig(args []string) (*config, error) {
+	fs := flag.NewFlagSet("gspgw", flag.ContinueOnError)
+	cfg, peers := declareFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -127,12 +116,13 @@ func parseConfig(args []string) (*config, error) {
 	return cfg, nil
 }
 
-// buildGateway assembles the gateway and its registry from a config.
-func buildGateway(cfg *config, logger *log.Logger) (*wire.ClusterGateway, *obs.Registry, error) {
-	reg := obs.NewRegistry()
-	opts := []wire.ClusterOption{
-		wire.WithClusterLogger(logger),
-		wire.WithClusterMetrics(reg),
+// buildGateway assembles the gateway from a config.
+func buildGateway(cfg *config, logger *log.Logger) (*wire.ClusterGateway, error) {
+	opts, err := cfg.server.Options(logger)
+	if err != nil {
+		return nil, err
+	}
+	opts = append(opts,
 		wire.WithVirtualNodes(cfg.vnodes),
 		wire.WithCellSize(cfg.cellSize),
 		wire.WithCityLabel(cfg.cityLabel),
@@ -143,11 +133,9 @@ func buildGateway(cfg *config, logger *log.Logger) (*wire.ClusterGateway, *obs.R
 		wire.WithClusterAdmin(cfg.adminPr),
 		wire.WithWarmRadius(cfg.warmRadius),
 		wire.WithWarmMaxCells(cfg.warmMaxCells),
-		wire.WithClusterMaxRadius(cfg.maxRadius),
-		wire.WithClusterMaxBatch(cfg.maxBatch),
-		wire.WithClusterPprof(cfg.pprofOn),
-		wire.WithMaxBody(cfg.maxBody),
-	}
+		wire.WithMaxRadius(cfg.maxRadius),
+		wire.WithMaxBatch(cfg.maxBatch),
+	)
 	peerOpts := []wire.ClientOption{
 		wire.WithRetries(cfg.peerRetries),
 		wire.WithRequestTimeout(cfg.peerTimeout),
@@ -155,30 +143,12 @@ func buildGateway(cfg *config, logger *log.Logger) (*wire.ClusterGateway, *obs.R
 	if cfg.peerAuthKey != "" {
 		principal, key, err := wire.ParseSigningKey(cfg.peerAuthKey)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		peerOpts = append(peerOpts, wire.WithSigningKey(principal, key))
 		logger.Printf("signing shard calls as %q", principal)
 	}
-	opts = append(opts, wire.WithPeerClientOptions(peerOpts...))
-	if cfg.admitLimit > 0 {
-		opts = append(opts, wire.WithAdmission(cfg.admitLimit, cfg.admitQueue, cfg.admitTimeout))
-		logger.Printf("admission control on: limit %d, queue %d, wait %v",
-			cfg.admitLimit, cfg.admitQueue, cfg.admitTimeout)
-	}
-	if cfg.authKeys != "" {
-		kr, err := wire.LoadKeyring(cfg.authKeys)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts = append(opts, wire.WithAuth(kr, wire.WithAuthWindow(cfg.authWindow)))
-		logger.Printf("request signing required: %d principals, ±%v window", kr.Len(), cfg.authWindow)
-	}
-	gw, err := wire.NewClusterGateway(cfg.peers, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gw, reg, nil
+	return wire.NewClusterGateway(cfg.peers, append(opts, wire.WithPeerClientOptions(peerOpts...))...)
 }
 
 func run(args []string) error {
@@ -187,45 +157,15 @@ func run(args []string) error {
 		return err
 	}
 	logger := log.New(os.Stderr, "gspgw ", log.LstdFlags)
-	gw, reg, err := buildGateway(cfg, logger)
+	gw, err := buildGateway(cfg, logger)
 	if err != nil {
 		return err
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	gw.StartProber(ctx)
-	obs.StartSummary(ctx, logger, reg, cfg.statsInterval)
-
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           gw,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("routing %d shards on %s (probe every %v, metrics at %s)",
-			len(cfg.peers), cfg.addr, cfg.probeInterval, obs.PathMetrics)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case sig := <-stop:
-		logger.Printf("received %v, shutting down", sig)
-		gw.Drain()
-		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer scancel()
-		return srv.Shutdown(sctx)
-	}
+	logger.Printf("routing %d shards on %s (probe every %v, metrics at %s)",
+		len(cfg.peers), cfg.server.Addr, cfg.probeInterval, obs.PathMetrics)
+	return gw.ListenAndServe(ctx, cfg.server.Addr)
 }

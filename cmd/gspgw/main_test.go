@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"flag"
 	"io"
 	"log"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -74,7 +76,7 @@ func TestBuildGatewayRejectsBadPeerKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := buildGateway(cfg, log.New(io.Discard, "", 0)); err == nil {
+	if _, err := buildGateway(cfg, log.New(io.Discard, "", 0)); err == nil {
 		t.Fatal("malformed -peer-auth-key accepted")
 	}
 }
@@ -104,7 +106,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, reg, err := buildGateway(cfg, log.New(io.Discard, "", 0))
+	gw, err := buildGateway(cfg, log.New(io.Discard, "", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +133,51 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 
 	gw.ProbeOnce(ctx)
-	snap := reg.Snapshot()
+	snap := gw.Metrics().Snapshot()
 	if got := snap.Counters[wire.MetricClusterPeers]; got != 2 {
 		t.Errorf("cluster.peers = %d, want 2", got)
 	}
 	if got := snap.Counters[wire.MetricClusterProbesOK]; got != 2 {
 		t.Errorf("cluster.probes.ok = %d, want 2", got)
+	}
+}
+
+// TestFlagSurface pins every flag's name and default: scripts and the
+// benchmark start gspgw with these flags, so moving a flag between files
+// must not rename it or change its default.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr=:8079",
+		"admin-principal=",
+		"admit-limit=0",
+		"admit-queue=128",
+		"admit-timeout=500ms",
+		"auth-keys=",
+		"auth-window=2m0s",
+		"cell=500",
+		"city-label=",
+		"hedge-delay=50ms",
+		"max-batch=256",
+		"max-body=1048576",
+		"max-radius=10000",
+		"peer-auth-key=",
+		"peer-retries=2",
+		"peer-timeout=5s",
+		"peers=",
+		"pprof=false",
+		"probe-interval=2s",
+		"probe-timeout=1s",
+		"replicas=1",
+		"stats-interval=1m0s",
+		"vnodes=128",
+		"warm-max-cells=4096",
+		"warm-radius=0",
+	}
+	fs := flag.NewFlagSet("gspgw", flag.ContinueOnError)
+	declareFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
+	if !slices.Equal(got, want) {
+		t.Errorf("flags changed:\ngot  %q\nwant %q", got, want)
 	}
 }

@@ -40,11 +40,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -67,55 +65,84 @@ func main() {
 	}
 }
 
+// config is the parsed flag set.
+type config struct {
+	server            *wire.ServerFlags
+	cityName          string
+	seed              uint64
+	noAudit           bool
+	historyLimit      int
+	historyUsers      int
+	budgetOn          bool
+	budgetEps         float64
+	budgetDelta       float64
+	budgetWindow      time.Duration
+	budgetWindowEps   float64
+	budgetWindowDelta float64
+	releaseEps        float64
+	releaseDelta      float64
+	budgetDir         string
+	budgetTTL         time.Duration
+	snapshotEvery     int
+	streamOn          bool
+	streamWindow      time.Duration
+	streamTick        time.Duration
+	streamRadius      float64
+	streamPerUser     int
+	streamHistory     int
+	streamSeed        uint64
+	streamPop         int
+	streamEps         float64
+	streamDelta       float64
+}
+
+// declareFlags declares lbsd's flags on fs.
+func declareFlags(fs *flag.FlagSet) *config {
+	cfg := &config{server: wire.DeclareServerFlags(fs, ":8081")}
+	fs.StringVar(&cfg.cityName, "city", "beijing", "city preset the releases refer to")
+	fs.Uint64Var(&cfg.seed, "seed", 1, "city generation seed (must match the GSP's)")
+	fs.BoolVar(&cfg.noAudit, "no-audit", false, "disable re-identification auditing")
+	fs.IntVar(&cfg.historyLimit, "history", 1000, "stored releases per user")
+	fs.IntVar(&cfg.historyUsers, "history-users", wire.DefaultHistoryUsers, "max distinct users with stored history (second-chance eviction past it)")
+	fs.BoolVar(&cfg.budgetOn, "budget", false, "enforce a per-principal privacy budget on releases")
+	fs.Float64Var(&cfg.budgetEps, "budget-eps", 10, "lifetime epsilon budget per principal")
+	fs.Float64Var(&cfg.budgetDelta, "budget-delta", 1e-3, "lifetime delta budget per principal")
+	fs.DurationVar(&cfg.budgetWindow, "budget-window", 24*time.Hour, "sliding refill window (0 = lifetime budget only)")
+	fs.Float64Var(&cfg.budgetWindowEps, "budget-window-eps", 1.5, "epsilon allowed inside each window")
+	fs.Float64Var(&cfg.budgetWindowDelta, "budget-window-delta", 0, "delta allowed inside each window (0 = delta not windowed)")
+	fs.Float64Var(&cfg.releaseEps, "release-eps", 0.5, "epsilon charged per accepted release")
+	fs.Float64Var(&cfg.releaseDelta, "release-delta", 1e-6, "delta charged per accepted release")
+	fs.StringVar(&cfg.budgetDir, "budget-dir", "", "ledger persistence directory (empty = in-memory)")
+	fs.DurationVar(&cfg.budgetTTL, "budget-idle-ttl", 0, "retire ledgers idle this long (0 disables; must be >= the window)")
+	fs.IntVar(&cfg.snapshotEvery, "budget-snapshot-every", 1000, "auto-snapshot the persistent ledger every N logged spends")
+	fs.BoolVar(&cfg.streamOn, "stream", false, "ingest live check-ins (POST /v1/ingest) and publish windowed DP releases")
+	fs.DurationVar(&cfg.streamWindow, "stream-window", 5*time.Minute, "sliding check-in window per user")
+	fs.DurationVar(&cfg.streamTick, "stream-tick", stream.DefaultInterval, "period between windowed DP releases")
+	fs.Float64Var(&cfg.streamRadius, "stream-radius", stream.DefaultRadius, "POI query radius in meters for window aggregates")
+	fs.IntVar(&cfg.streamPerUser, "stream-per-user", 64, "max events kept per user window (oldest dropped past it)")
+	fs.IntVar(&cfg.streamHistory, "stream-history", stream.DefaultHistory, "windowed releases kept for GET /v1/stream/releases")
+	fs.Uint64Var(&cfg.streamSeed, "stream-seed", 1, "root seed for windowed release noise")
+	fs.IntVar(&cfg.streamPop, "stream-pop", 2000, "synthetic population size behind the windowed DP mechanism")
+	fs.Float64Var(&cfg.streamEps, "stream-eps", 0.5, "epsilon charged per principal per windowed release (with -budget)")
+	fs.Float64Var(&cfg.streamDelta, "stream-delta", 1e-6, "delta charged per principal per windowed release (with -budget)")
+	return cfg
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("lbsd", flag.ContinueOnError)
-	addr := fs.String("addr", ":8081", "listen address")
-	cityName := fs.String("city", "beijing", "city preset the releases refer to")
-	seed := fs.Uint64("seed", 1, "city generation seed (must match the GSP's)")
-	noAudit := fs.Bool("no-audit", false, "disable re-identification auditing")
-	historyLimit := fs.Int("history", 1000, "stored releases per user")
-	historyUsers := fs.Int("history-users", wire.DefaultHistoryUsers, "max distinct users with stored history (second-chance eviction past it)")
-	statsInterval := fs.Duration("stats-interval", time.Minute, "periodic traffic summary log interval (0 disables)")
-	admitLimit := fs.Int("admit-limit", 0, "admission control: max concurrent request weight (0 disables)")
-	admitQueue := fs.Int("admit-queue", 128, "admission control: max requests waiting for a slot")
-	admitTimeout := fs.Duration("admit-timeout", 500*time.Millisecond, "admission control: max queue wait before shedding")
-	maxBody := fs.Int64("max-body", wire.DefaultMaxBody, "maximum accepted POST body in bytes")
-	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
-	budgetOn := fs.Bool("budget", false, "enforce a per-principal privacy budget on releases")
-	budgetEps := fs.Float64("budget-eps", 10, "lifetime epsilon budget per principal")
-	budgetDelta := fs.Float64("budget-delta", 1e-3, "lifetime delta budget per principal")
-	budgetWindow := fs.Duration("budget-window", 24*time.Hour, "sliding refill window (0 = lifetime budget only)")
-	budgetWindowEps := fs.Float64("budget-window-eps", 1.5, "epsilon allowed inside each window")
-	budgetWindowDelta := fs.Float64("budget-window-delta", 0, "delta allowed inside each window (0 = delta not windowed)")
-	releaseEps := fs.Float64("release-eps", 0.5, "epsilon charged per accepted release")
-	releaseDelta := fs.Float64("release-delta", 1e-6, "delta charged per accepted release")
-	budgetDir := fs.String("budget-dir", "", "ledger persistence directory (empty = in-memory)")
-	budgetTTL := fs.Duration("budget-idle-ttl", 0, "retire ledgers idle this long (0 disables; must be >= the window)")
-	snapshotEvery := fs.Int("budget-snapshot-every", 1000, "auto-snapshot the persistent ledger every N logged spends")
-	authKeys := fs.String("auth-keys", "", "require signed requests; principal=hexkey[,principal=hexkey...] or @file with one pair per line (empty disables auth)")
-	authWindow := fs.Duration("auth-window", wire.DefaultAuthWindow, "signed-request timestamp validity window")
-	streamOn := fs.Bool("stream", false, "ingest live check-ins (POST /v1/ingest) and publish windowed DP releases")
-	streamWindow := fs.Duration("stream-window", 5*time.Minute, "sliding check-in window per user")
-	streamTick := fs.Duration("stream-tick", stream.DefaultInterval, "period between windowed DP releases")
-	streamRadius := fs.Float64("stream-radius", stream.DefaultRadius, "POI query radius in meters for window aggregates")
-	streamPerUser := fs.Int("stream-per-user", 64, "max events kept per user window (oldest dropped past it)")
-	streamHistory := fs.Int("stream-history", stream.DefaultHistory, "windowed releases kept for GET /v1/stream/releases")
-	streamSeed := fs.Uint64("stream-seed", 1, "root seed for windowed release noise")
-	streamPop := fs.Int("stream-pop", 2000, "synthetic population size behind the windowed DP mechanism")
-	streamEps := fs.Float64("stream-eps", 0.5, "epsilon charged per principal per windowed release (with -budget)")
-	streamDelta := fs.Float64("stream-delta", 1e-6, "delta charged per principal per windowed release (with -budget)")
+	cfg := declareFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	var p citygen.Params
-	switch *cityName {
+	switch cfg.cityName {
 	case "beijing":
-		p = citygen.Beijing(*seed)
+		p = citygen.Beijing(cfg.seed)
 	case "nyc":
-		p = citygen.NewYork(*seed)
+		p = citygen.NewYork(cfg.seed)
 	default:
-		return fmt.Errorf("unknown city %q", *cityName)
+		return fmt.Errorf("unknown city %q", cfg.cityName)
 	}
 	city, err := citygen.Generate(p)
 	if err != nil {
@@ -124,50 +151,34 @@ func run(args []string) error {
 
 	logger := log.New(os.Stderr, "lbsd ", log.LstdFlags)
 	reg := obs.NewRegistry()
-	opts := []wire.LBSServerOption{
-		wire.WithHistoryLimit(*historyLimit),
-		wire.WithHistoryUsers(*historyUsers),
-		wire.WithLBSMetrics(reg),
-		wire.WithLBSLogger(logger),
-		wire.WithLBSPprof(*pprofOn),
-		wire.WithMaxBody(*maxBody),
+	opts, err := cfg.server.Options(logger)
+	if err != nil {
+		return err
 	}
-	if *admitLimit > 0 {
-		opts = append(opts, wire.WithAdmission(*admitLimit, *admitQueue, *admitTimeout))
-		logger.Printf("admission control on: limit %d, queue %d, wait %v",
-			*admitLimit, *admitQueue, *admitTimeout)
-	}
-	if *pprofOn {
-		logger.Printf("pprof profiling enabled at %s", wire.PathPprof)
-	}
-	if *authKeys != "" {
-		kr, err := wire.LoadKeyring(*authKeys)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, wire.WithAuth(kr, wire.WithAuthWindow(*authWindow)))
-		logger.Printf("request signing required: %d principals, ±%v window; budget charges verified principals only", kr.Len(), *authWindow)
-	}
+	opts = append(opts,
+		wire.WithHistoryLimit(cfg.historyLimit),
+		wire.WithHistoryUsers(cfg.historyUsers),
+		wire.WithMetrics(reg))
 	var svc *gsp.Service
-	if !*noAudit || *streamOn {
+	if !cfg.noAudit || cfg.streamOn {
 		svc = gsp.NewService(city.City, 1<<18)
 	}
-	if !*noAudit {
+	if !cfg.noAudit {
 		opts = append(opts, wire.WithAuditor(wire.RegionAuditor{Svc: svc}))
 	}
 
 	var led *budget.Ledger
-	if *budgetOn {
+	if cfg.budgetOn {
 		policy := budget.Policy{
-			LifetimeEps:   *budgetEps,
-			LifetimeDelta: *budgetDelta,
-			Window:        *budgetWindow,
-			WindowEps:     *budgetWindowEps,
-			WindowDelta:   *budgetWindowDelta,
-			IdleTTL:       *budgetTTL,
+			LifetimeEps:   cfg.budgetEps,
+			LifetimeDelta: cfg.budgetDelta,
+			Window:        cfg.budgetWindow,
+			WindowEps:     cfg.budgetWindowEps,
+			WindowDelta:   cfg.budgetWindowDelta,
+			IdleTTL:       cfg.budgetTTL,
 		}
-		if *budgetDir != "" {
-			led, err = budget.Open(policy, *budgetDir, budget.WithSnapshotEvery(*snapshotEvery))
+		if cfg.budgetDir != "" {
+			led, err = budget.Open(policy, cfg.budgetDir, budget.WithSnapshotEvery(cfg.snapshotEvery))
 		} else {
 			led, err = budget.New(policy)
 		}
@@ -175,9 +186,9 @@ func run(args []string) error {
 			return err
 		}
 		led.ExportMetrics(reg)
-		opts = append(opts, wire.WithBudget(led, *releaseEps, *releaseDelta))
+		opts = append(opts, wire.WithBudget(led, cfg.releaseEps, cfg.releaseDelta))
 		logger.Printf("budget enforcement on: (ε=%v, δ=%v) per release, window %v of ε=%v, lifetime ε=%v, persistence %q",
-			*releaseEps, *releaseDelta, policy.Window, policy.WindowEps, policy.LifetimeEps, *budgetDir)
+			cfg.releaseEps, cfg.releaseDelta, policy.Window, policy.WindowEps, policy.LifetimeEps, cfg.budgetDir)
 	}
 
 	// Shutdown tail for the stateful subsystems, in dependency order:
@@ -187,28 +198,28 @@ func run(args []string) error {
 	var stopStream func()
 	defer func() { stopStreamAndCloseLedger(logger, stopStream, led) }()
 
-	if *streamOn {
+	if cfg.streamOn {
 		st, err := stream.NewStore(stream.Config{
-			Window:     *streamWindow,
-			MaxUsers:   *historyUsers,
-			MaxPerUser: *streamPerUser,
+			Window:     cfg.streamWindow,
+			MaxUsers:   cfg.historyUsers,
+			MaxPerUser: cfg.streamPerUser,
 			Bounds:     city.Bounds,
 		})
 		if err != nil {
 			return err
 		}
-		pop := cloak.UniformPopulation(city.Bounds, *streamPop, *streamSeed)
+		pop := cloak.UniformPopulation(city.Bounds, cfg.streamPop, cfg.streamSeed)
 		mech, err := defense.NewDPRelease(svc, pop, defense.DefaultDPReleaseConfig())
 		if err != nil {
 			return err
 		}
 		rel, err := stream.NewReleaser(st, svc, mech, led, stream.ReleaserConfig{
-			Interval: *streamTick,
-			Radius:   *streamRadius,
-			Seed:     *streamSeed,
-			History:  *streamHistory,
-			Eps:      *streamEps,
-			Delta:    *streamDelta,
+			Interval: cfg.streamTick,
+			Radius:   cfg.streamRadius,
+			Seed:     cfg.streamSeed,
+			History:  cfg.streamHistory,
+			Eps:      cfg.streamEps,
+			Delta:    cfg.streamDelta,
 		})
 		if err != nil {
 			return err
@@ -216,49 +227,18 @@ func run(args []string) error {
 		opts = append(opts, wire.WithStream(st, rel))
 		stopStream = rel.Start(func(err error) { logger.Printf("stream release: %v", err) })
 		logger.Printf("streaming ingestion on: %v window over ≤%d users × %d events, release every %v at radius %vm",
-			*streamWindow, *historyUsers, *streamPerUser, rel.Config().Interval, rel.Config().Radius)
+			cfg.streamWindow, cfg.historyUsers, cfg.streamPerUser, rel.Config().Interval, rel.Config().Radius)
 	}
-	handler := wire.NewLBSServer(city.M(), opts...)
+	srv := wire.NewLBSServer(city.M(), opts...)
 
-	obsCtx, obsCancel := context.WithCancel(context.Background())
-	defer obsCancel()
-	obs.StartSummary(obsCtx, logger, reg, *statsInterval)
-	if led != nil && *budgetTTL > 0 {
-		startEvictLoop(obsCtx, logger, led, *budgetTTL)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if led != nil && cfg.budgetTTL > 0 {
+		startEvictLoop(ctx, logger, led, cfg.budgetTTL)
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Printf("LBS app for %s on %s (audit=%v, metrics at %s)",
-			city.Name, *addr, !*noAudit, obs.PathMetrics)
-		errCh <- srv.ListenAndServe()
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case sig := <-stop:
-		logger.Printf("received %v, shutting down", sig)
-		// Flip /readyz to 503 first so load balancers stop routing new
-		// work here while Shutdown lets in-flight requests finish.
-		handler.Drain()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
+	logger.Printf("LBS app for %s on %s (audit=%v, metrics at %s)",
+		city.Name, cfg.server.Addr, !cfg.noAudit, obs.PathMetrics)
+	return srv.ListenAndServe(ctx, cfg.server.Addr)
 }
 
 // stopStreamAndCloseLedger is the daemon's shutdown tail. The stream

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -154,5 +156,55 @@ func TestStreamDrainChargesLedgerBeforeClose(t *testing.T) {
 	}
 	if !bytes.Equal(liveDump, diskDump) {
 		t.Fatalf("reopened ledger state differs from live state:\nlive: %s\ndisk: %s", liveDump, diskDump)
+	}
+}
+
+// TestFlagSurface pins every flag's name and default: scripts and the
+// benchmark start lbsd with these flags, so moving a flag between files
+// must not rename it or change its default.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr=:8081",
+		"admit-limit=0",
+		"admit-queue=128",
+		"admit-timeout=500ms",
+		"auth-keys=",
+		"auth-window=2m0s",
+		"budget=false",
+		"budget-delta=0.001",
+		"budget-dir=",
+		"budget-eps=10",
+		"budget-idle-ttl=0s",
+		"budget-snapshot-every=1000",
+		"budget-window=24h0m0s",
+		"budget-window-delta=0",
+		"budget-window-eps=1.5",
+		"city=beijing",
+		"history=1000",
+		"history-users=10000",
+		"max-body=1048576",
+		"no-audit=false",
+		"pprof=false",
+		"release-delta=1e-06",
+		"release-eps=0.5",
+		"seed=1",
+		"stats-interval=1m0s",
+		"stream=false",
+		"stream-delta=1e-06",
+		"stream-eps=0.5",
+		"stream-history=64",
+		"stream-per-user=64",
+		"stream-pop=2000",
+		"stream-radius=1000",
+		"stream-seed=1",
+		"stream-tick=1m0s",
+		"stream-window=5m0s",
+	}
+	fs := flag.NewFlagSet("lbsd", flag.ContinueOnError)
+	declareFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
+	if !slices.Equal(got, want) {
+		t.Errorf("flags changed:\ngot  %q\nwant %q", got, want)
 	}
 }

@@ -616,7 +616,7 @@ func run(args []string, stdout io.Writer) error {
 		svc := gsp.NewService(city.City, 1<<14)
 		svc.SetSingleflight(!cfg.noSingleflight)
 		inprocSvc = svc
-		var serverOpts []wire.ServerOption
+		serverOpts := []wire.ServerOption{wire.WithLogger(log.New(io.Discard, "", 0))}
 		if cfg.admitLimit > 0 {
 			serverOpts = append(serverOpts,
 				wire.WithAdmission(cfg.admitLimit, cfg.admitQueue, cfg.admitTimeout))
@@ -631,8 +631,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 			serverOpts = append(serverOpts, wire.WithAuth(kr))
 		}
-		quiet := log.New(io.Discard, "", 0)
-		gspOpts := []wire.GSPServerOption{wire.WithLogger(quiet)}
 		// The region audit on the small in-process city takes microseconds;
 		// -audit-cost pads it to a realistic CPU-bound service time, which
 		// is what makes saturation (and shedding) observable: fixed work
@@ -642,11 +640,7 @@ func run(args []string, stdout io.Writer) error {
 		if cfg.auditCost > 0 {
 			auditor = costedAuditor{inner: auditor, iters: calibrateBusy(cfg.auditCost)}
 		}
-		lbsOpts := []wire.LBSServerOption{wire.WithAuditor(auditor)}
-		for _, o := range serverOpts {
-			gspOpts = append(gspOpts, o)
-			lbsOpts = append(lbsOpts, o)
-		}
+		lbsOpts := append([]wire.ServerOption{wire.WithAuditor(auditor)}, serverOpts...)
 		if hasTarget(cfg.targets, "ingest") {
 			// Window store sized to exactly one cohort: the stream
 			// profile's rotations then force real eviction churn while the
@@ -695,17 +689,14 @@ func run(args []string, stdout io.Writer) error {
 				if churnMode {
 					shardSvc = newShardSvc()
 				}
-				shardSrv := wire.NewGSPServer(shardSvc, gspOpts...)
+				shardSrv := wire.NewGSPServer(shardSvc, serverOpts...)
 				shards[i] = churnShard{srv: shardSrv, svc: shardSvc}
 				shardTS := httptest.NewServer(shardSrv)
 				defer shardTS.Close()
 				peers[i] = shardTS.URL
 				closers[i] = shardTS.Close
 			}
-			gwOpts := []wire.ClusterOption{wire.WithClusterLogger(quiet)}
-			for _, o := range serverOpts {
-				gwOpts = append(gwOpts, o)
-			}
+			gwOpts := append([]wire.ServerOption(nil), serverOpts...)
 			var peerOpts []wire.ClientOption
 			if signKey != nil {
 				peerOpts = append(peerOpts, wire.WithSigningKey(signPrincipal, signKey))
@@ -717,7 +708,7 @@ func run(args []string, stdout io.Writer) error {
 				// queries (churnCells aims traffic at cell centers).
 				clusterReg = obs.NewRegistry()
 				gwOpts = append(gwOpts,
-					wire.WithClusterMetrics(clusterReg),
+					wire.WithMetrics(clusterReg),
 					wire.WithWarmRadius(cfg.radius))
 				if signKey != nil {
 					gwOpts = append(gwOpts, wire.WithClusterAdmin(signPrincipal))
@@ -725,7 +716,7 @@ func run(args []string, stdout io.Writer) error {
 				churn = newChurnRun(peers[0], closers[0], append([]churnShard(nil), shards...))
 				churnNewShard = func() (string, churnShard) {
 					s := newShardSvc()
-					srv := wire.NewGSPServer(s, gspOpts...)
+					srv := wire.NewGSPServer(s, serverOpts...)
 					ts := httptest.NewServer(srv)
 					churn.stopJoiner = ts.Close
 					return ts.URL, churnShard{srv: srv, svc: s}
@@ -742,7 +733,7 @@ func run(args []string, stdout io.Writer) error {
 			defer gwTS.Close()
 			gspURL = gwTS.URL
 		} else {
-			gspTS := httptest.NewServer(wire.NewGSPServer(svc, gspOpts...))
+			gspTS := httptest.NewServer(wire.NewGSPServer(svc, serverOpts...))
 			defer gspTS.Close()
 			gspURL = gspTS.URL
 		}

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"poiagg/internal/hash64"
 	"poiagg/internal/obs"
 )
 
@@ -269,25 +270,10 @@ func New(policy Policy, opts ...Option) (*Ledger, error) {
 // Policy returns the ledger's policy.
 func (l *Ledger) Policy() Policy { return l.policy }
 
-// hashPrincipal is FNV-1a 64 over the principal name, finished with the
-// splitmix64 mixer so short sequential names spread across shards.
-func hashPrincipal(p string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(p); i++ {
-		h ^= uint64(p[i])
-		h *= prime64
-	}
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
-}
-
+// shardFor hashes the principal with hash64.String, whose finalizer
+// spreads short sequential names across shards.
 func (l *Ledger) shardFor(principal string) *shard {
-	return &l.shards[hashPrincipal(principal)&l.mask]
+	return &l.shards[hash64.String(principal)&l.mask]
 }
 
 // Spend charges one (eps, delta) release to the principal, creating (or

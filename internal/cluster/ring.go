@@ -18,6 +18,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"poiagg/internal/hash64"
 )
 
 // DefaultVirtualNodes is the per-peer virtual-node count unless New is
@@ -55,7 +57,7 @@ func New(vnodes int) *Ring {
 func (r *Ring) vnodeHashes(peer string) []uint64 {
 	hs := make([]uint64, r.vnodes)
 	for i := range hs {
-		hs[i] = hashString(peer + "#" + strconv.Itoa(i))
+		hs[i] = hash64.String(peer + "#" + strconv.Itoa(i))
 	}
 	return hs
 }
@@ -199,46 +201,8 @@ func CellOf(x, y, cellSize float64) (cx, cy int) {
 // position. The city label isolates co-hosted cities on one fleet; a
 // single-city deployment may leave it empty.
 func Key(city string, cx, cy int) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(city); i++ {
-		h = (h ^ uint64(city[i])) * fnvPrime
-	}
-	h = fnvUint64(h, uint64(int64(cx)))
-	h = fnvUint64(h, uint64(int64(cy)))
-	return mix64(h)
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// fnvUint64 folds v's eight bytes into the running FNV-1a state.
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-// hashString is FNV-1a over s with a splitmix64 finalizer — FNV alone
-// clusters on short suffix changes ("peer#1" vs "peer#2"), and ring
-// balance depends on the points being spread uniformly.
-func hashString(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return mix64(h)
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	h := hash64.FNV(hash64.FNVOffset, city)
+	h = hash64.FNVUint64(h, uint64(int64(cx)))
+	h = hash64.FNVUint64(h, uint64(int64(cy)))
+	return hash64.Mix(h)
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"poiagg/internal/hash64"
 	"poiagg/internal/obs"
 	"poiagg/internal/poi"
 )
@@ -147,15 +148,9 @@ func (s *Service) ExportMetrics(reg *obs.Registry) {
 // so that the regular lattices attack sweeps probe (anchor POIs on a
 // grid, a handful of radii) spread evenly across shards.
 func (k freqKey) hash() uint64 {
-	h := mix64(math.Float64bits(k.x) ^ 0x9e3779b97f4a7c15)
-	h = mix64(h ^ math.Float64bits(k.y))
-	return mix64(h ^ math.Float64bits(k.r))
-}
-
-func mix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	h := hash64.Mix(math.Float64bits(k.x) ^ 0x9e3779b97f4a7c15)
+	h = hash64.Mix(h ^ math.Float64bits(k.y))
+	return hash64.Mix(h ^ math.Float64bits(k.r))
 }
 
 // slot is one memoized Freq result: its key, where its packed vector

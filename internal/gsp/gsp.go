@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"poiagg/internal/geo"
+	"poiagg/internal/hash64"
 	"poiagg/internal/index"
 	"poiagg/internal/poi"
 )
@@ -85,12 +86,9 @@ func (c *City) WrapIndex(wrap func(index.Index) index.Index) { c.idx = wrap(c.id
 // different hash. The tiered freq store keys its snapshots on it so a
 // snapshot taken over one city is never trusted for another.
 func (c *City) Fingerprint() uint64 {
-	h := uint64(0xcbf29ce484222325) // FNV offset basis
+	h := hash64.FNV(hash64.FNVOffset, c.Name)
 	word := func(v uint64) {
-		h = mix64(h ^ v)
-	}
-	for _, b := range []byte(c.Name) {
-		h = (h ^ uint64(b)) * 0x100000001b3
+		h = hash64.Mix(h ^ v)
 	}
 	word(math.Float64bits(c.Bounds.MinX))
 	word(math.Float64bits(c.Bounds.MinY))
@@ -104,7 +102,7 @@ func (c *City) Fingerprint() uint64 {
 		word(math.Float64bits(p.Pos.X))
 		word(math.Float64bits(p.Pos.Y))
 	}
-	return mix64(h)
+	return hash64.Mix(h)
 }
 
 // NumPOIs returns the number of POIs.

@@ -17,7 +17,7 @@ package gsp
 //	16      8     city fingerprint (uint64, City.Fingerprint)
 //	24      8     spatial-index grid cell size in meters (float64)
 //	32      8     entry count (uint64)
-//	40      8     record checksum (uint64, FNV-1a+mix64 over all records)
+//	40      8     record checksum (uint64, FNV-1a+splitmix64 over all records)
 //	48      —     count records, each 24+4·M bytes:
 //	              x float64 | y float64 | r float64 | M × uint32 counts
 //
@@ -52,6 +52,7 @@ import (
 	"path/filepath"
 
 	"poiagg/internal/geo"
+	"poiagg/internal/hash64"
 	"poiagg/internal/poi"
 )
 
@@ -72,21 +73,18 @@ const (
 )
 
 // storeChecksum hashes the record region: FNV-1a over 8-byte words
-// (byte-wise over the sub-word tail) with a splitmix64 finalizer,
-// matching the hashing used elsewhere in the package. Word-wise keeps
-// the warm-start validation cost far below the compute it saves. Not
-// cryptographic — it guards against bit rot and torn writes, not an
-// adversary with write access to the store directory.
+// (byte-wise over the sub-word tail) with a splitmix64 finalizer, both
+// from hash64. Word-wise keeps the warm-start validation cost far below
+// the compute it saves. Not cryptographic — it guards against bit rot
+// and torn writes, not an adversary with write access to the store
+// directory.
 func storeChecksum(records []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
+	h := uint64(hash64.FNVOffset)
 	for len(records) >= 8 {
-		h = mix64(h ^ binary.LittleEndian.Uint64(records))
+		h = hash64.Mix(h ^ binary.LittleEndian.Uint64(records))
 		records = records[8:]
 	}
-	for _, b := range records {
-		h = (h ^ uint64(b)) * 0x100000001b3
-	}
-	return mix64(h)
+	return hash64.Mix(hash64.FNV(h, records))
 }
 
 // StoreEntry is one persisted freq-cache entry.

@@ -383,3 +383,19 @@ func BenchmarkStoreWarmStart(b *testing.B) {
 		}
 	})
 }
+
+// TestStoreChecksumGolden pins the record checksum to its value before
+// the hashes moved into hash64: snapshots on disk carry it, so a change
+// would make every existing snapshot fail validation.
+func TestStoreChecksumGolden(t *testing.T) {
+	buf := make([]byte, 103) // 12 words and a 7-byte tail
+	for i := range buf {
+		buf[i] = byte(i*37 + 11)
+	}
+	if got := storeChecksum(buf); got != 0x58ab4a021568413d {
+		t.Errorf("storeChecksum = %#x, want 0x58ab4a021568413d", got)
+	}
+	if got := storeChecksum(nil); got != 0xf52a15e9a9b5e89b {
+		t.Errorf("storeChecksum(nil) = %#x, want 0xf52a15e9a9b5e89b", got)
+	}
+}

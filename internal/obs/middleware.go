@@ -30,17 +30,23 @@ func WithReadyCheck(check func() error) Option {
 // WithRequestHook registers a callback invoked after every proxied
 // request (not for the operational endpoints themselves) — the servers
 // use it for their per-request log line.
-func WithRequestHook(hook func(method, path string, status int, d time.Duration)) Option {
+func WithRequestHook(hook func(r *http.Request, status int, d time.Duration)) Option {
 	return func(h *instrumented) { h.hook = hook }
 }
 
 // Instrument wraps next with per-route metrics (request count by status
-// class, in-flight gauge, latency histogram keyed "METHOD /path") and
-// mounts the operational endpoints /v1/metrics, /healthz, and /readyz.
-// Requests to the operational endpoints are answered directly and are
-// not recorded, so route counts reflect application traffic only.
-func Instrument(reg *Registry, next http.Handler, opts ...Option) http.Handler {
-	h := &instrumented{reg: reg, next: next}
+// class, in-flight gauge, latency histogram) and mounts the operational
+// endpoints /v1/metrics, /healthz, and /readyz. next is mux behind any
+// middleware. Routes are keyed on the pattern mux matches for the
+// request (ServeMux.Handler), such as "GET /v1/freq" or
+// "GET /v1/budget/{principal}", and requests that match no pattern
+// (404, 405) share RouteOther: the route table is bounded by the
+// registered patterns, and no name a client puts in a path reaches
+// /v1/metrics. Requests to the operational endpoints are answered
+// directly and are not recorded, so route counts reflect application
+// traffic only.
+func Instrument(reg *Registry, mux *http.ServeMux, next http.Handler, opts ...Option) http.Handler {
+	h := &instrumented{reg: reg, mux: mux, next: next}
 	for _, opt := range opts {
 		opt(h)
 	}
@@ -49,9 +55,10 @@ func Instrument(reg *Registry, next http.Handler, opts ...Option) http.Handler {
 
 type instrumented struct {
 	reg   *Registry
+	mux   *http.ServeMux
 	next  http.Handler
 	ready func() error
-	hook  func(method, path string, status int, d time.Duration)
+	hook  func(r *http.Request, status int, d time.Duration)
 }
 
 func (h *instrumented) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -73,7 +80,7 @@ func (h *instrumented) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	route := h.reg.Route(r.Method + " " + r.URL.Path)
+	route := h.reg.Route(h.routeKey(r))
 	route.InFlight.Inc()
 	start := time.Now()
 	sw := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -82,8 +89,19 @@ func (h *instrumented) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	route.InFlight.Dec()
 	route.ObserveRequest(sw.status, d)
 	if h.hook != nil {
-		h.hook(r.Method, r.URL.Path, sw.status, d)
+		h.hook(r, sw.status, d)
 	}
+}
+
+// routeKey is the mux pattern r matches, or RouteOther. For a request
+// the mux redirects to add a trailing slash, ServeMux.Handler reports
+// the redirect target, which is a registered subtree pattern whenever
+// those patterns hold no wildcards (as /debug/pprof/ does not).
+func (h *instrumented) routeKey(r *http.Request) string {
+	if _, pattern := h.mux.Handler(r); pattern != "" {
+		return pattern
+	}
+	return RouteOther
 }
 
 func (h *instrumented) serveMetrics(w http.ResponseWriter, r *http.Request) {

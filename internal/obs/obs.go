@@ -185,7 +185,8 @@ func (rs *RouteStats) StatusClass(c int) uint64 {
 // registry without bound; overflow routes aggregate under RouteOther.
 const maxRoutes = 64
 
-// RouteOther aggregates requests beyond the maxRoutes cap.
+// RouteOther aggregates requests that match no route pattern (see
+// Instrument) and routes beyond the maxRoutes cap.
 const RouteOther = "other"
 
 // Registry holds a process's metrics: per-route HTTP statistics plus

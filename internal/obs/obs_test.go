@@ -140,8 +140,11 @@ func TestInstrumentRecordsAndServesEndpoints(t *testing.T) {
 		}
 		io.WriteString(w, "ok")
 	})
+	mux := http.NewServeMux()
+	mux.Handle("GET /work", inner)
+	mux.Handle("GET /boom", inner)
 	var hooked int
-	h := Instrument(reg, inner, WithRequestHook(func(method, path string, status int, d time.Duration) {
+	h := Instrument(reg, mux, mux, WithRequestHook(func(r *http.Request, status int, d time.Duration) {
 		hooked++
 	}))
 	ts := httptest.NewServer(h)
@@ -205,7 +208,7 @@ func TestInstrumentRecordsAndServesEndpoints(t *testing.T) {
 
 func TestReadyCheckFailure(t *testing.T) {
 	reg := NewRegistry()
-	h := Instrument(reg, http.NotFoundHandler(), WithReadyCheck(func() error {
+	h := Instrument(reg, http.NewServeMux(), http.NotFoundHandler(), WithReadyCheck(func() error {
 		return errors.New("warming up")
 	}))
 	rec := httptest.NewRecorder()

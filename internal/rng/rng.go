@@ -11,6 +11,8 @@ package rng
 import (
 	"math"
 	"math/rand/v2"
+
+	"poiagg/internal/hash64"
 )
 
 // Source is a deterministic random stream. It wraps the standard PCG
@@ -33,12 +35,7 @@ func newFrom(s1, s2 uint64) *Source {
 
 // splitmix64 is the canonical splitmix64 mixing function, used to derive
 // decorrelated child seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+func splitmix64(x uint64) uint64 { return hash64.Mix(x + 0x9e3779b97f4a7c15) }
 
 // Split derives an independent child stream keyed by label. Splitting the
 // same parent with the same label always yields the same child, and the

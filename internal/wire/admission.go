@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,9 +248,9 @@ func (a *admission) admitHTTP(w http.ResponseWriter, r *http.Request, weight int
 // /readyz, and /v1/metrics never reach this handler — obs.Instrument
 // answers them upstream — so probes and metric scrapes always bypass
 // the limiter.
-func (a *admission) middleware(next http.Handler, selfAdmit map[string]bool) http.Handler {
+func (a *admission) middleware(next http.Handler, selfAdmit []string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if selfAdmit[r.URL.Path] || strings.HasPrefix(r.URL.Path, PathPprof) {
+		if slices.Contains(selfAdmit, r.URL.Path) || strings.HasPrefix(r.URL.Path, PathPprof) {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -261,72 +262,3 @@ func (a *admission) middleware(next http.Handler, selfAdmit map[string]bool) htt
 		next.ServeHTTP(w, r)
 	})
 }
-
-// ServerOption is an option shared by GSPServer, LBSServer, and the
-// cluster gateway; it satisfies GSPServerOption, LBSServerOption, and
-// ClusterOption, so one value configures any of the three identically.
-type ServerOption struct {
-	gsp     func(*GSPServer)
-	lbs     func(*LBSServer)
-	cluster func(*ClusterGateway)
-}
-
-func (o ServerOption) applyGSP(s *GSPServer) {
-	if o.gsp != nil {
-		o.gsp(s)
-	}
-}
-
-func (o ServerOption) applyLBS(s *LBSServer) {
-	if o.lbs != nil {
-		o.lbs(s)
-	}
-}
-
-func (o ServerOption) applyCluster(g *ClusterGateway) {
-	if o.cluster != nil {
-		o.cluster(g)
-	}
-}
-
-// WithAdmission bounds concurrent work on a server (GSP or LBS): at
-// most limit weight executes at once, up to queue requests wait FIFO
-// for at most timeout (or their own deadline, whichever is sooner), and
-// everything beyond that is shed with 503, a Retry-After header, and a
-// structured AdmissionErrorResponse body. Batch requests count by item
-// weight. The operational endpoints bypass the limiter. limit <= 0
-// disables admission (the default).
-func WithAdmission(limit, queue int, timeout time.Duration) ServerOption {
-	cfg := AdmissionConfig{Limit: limit, Queue: queue, Timeout: timeout}
-	return ServerOption{
-		gsp:     func(s *GSPServer) { s.admitCfg = cfg },
-		lbs:     func(s *LBSServer) { s.admitCfg = cfg },
-		cluster: func(g *ClusterGateway) { g.admitCfg = cfg },
-	}
-}
-
-// WithMaxBody caps the accepted POST request body in bytes on either
-// server (default 1 MiB). Oversized bodies get 413 with a structured
-// error before any decoding buffers attacker-sized payloads.
-func WithMaxBody(n int64) ServerOption {
-	return ServerOption{
-		gsp: func(s *GSPServer) {
-			if n > 0 {
-				s.maxBody = n
-			}
-		},
-		lbs: func(s *LBSServer) {
-			if n > 0 {
-				s.maxBody = n
-			}
-		},
-		cluster: func(g *ClusterGateway) {
-			if n > 0 {
-				g.maxBody = n
-			}
-		},
-	}
-}
-
-// DefaultMaxBody is the POST body cap unless WithMaxBody overrides it.
-const DefaultMaxBody = 1 << 20

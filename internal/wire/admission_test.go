@@ -279,47 +279,95 @@ func TestAdmissionShedsWith503AndRetryAfter(t *testing.T) {
 	}
 }
 
-func TestAdmissionOperationalEndpointsBypass(t *testing.T) {
-	ts, srv, unblock := saturatedLBS(t)
-	// With the only slot pinned, probes and scrapes still answer 200.
-	for _, path := range []string{obs.PathHealthz, obs.PathReadyz} {
-		resp, err := http.Get(ts.URL + path)
+// saturatedGateway is saturatedLBS for the cluster gateway: its one
+// admission slot is pinned by a GET /v1/stats that its only shard holds
+// open until unblock.
+func saturatedGateway(t *testing.T) (*httptest.Server, *ClusterGateway, func()) {
+	t.Helper()
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default: // only the first request signals
+		}
+		<-release
+		writeJSON(w, http.StatusOK, StatsResponse{Name: "pinned"})
+	}))
+	t.Cleanup(shard.Close)
+	ts, gw := newGatewayTestServer(t, shard.URL, WithAdmission(1, 0, 50*time.Millisecond))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Get(ts.URL + PathStats)
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s = %d under saturation, want 200", path, resp.StatusCode)
+			t.Errorf("pinned stats = %d, want 200", resp.StatusCode)
 		}
+	}()
+	<-entered // the slot is now held inside the handler
+	var once sync.Once
+	unblock := func() {
+		once.Do(func() { close(release); <-done })
 	}
-	snap := fetchSnapshot(t, ts.URL)
-	if got := snap.Counters[MetricAdmissionInflight]; got != 1 {
-		t.Errorf("admission.inflight = %d, want 1", got)
-	}
+	t.Cleanup(unblock)
+	return ts, gw, unblock
+}
 
-	// Drain: readyz flips to 503, healthz stays 200, traffic still flows.
-	srv.Drain()
-	resp, err := http.Get(ts.URL + obs.PathReadyz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz after Drain = %d, want 503", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + obs.PathHealthz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz after Drain = %d, want 200", resp.StatusCode)
-	}
+func TestAdmissionOperationalEndpointsBypass(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		saturated func(*testing.T) (*httptest.Server, interface{ Drain() }, func())
+	}{
+		{"lbs", func(t *testing.T) (*httptest.Server, interface{ Drain() }, func()) { return saturatedLBS(t) }},
+		{"gateway", func(t *testing.T) (*httptest.Server, interface{ Drain() }, func()) { return saturatedGateway(t) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, srv, unblock := tc.saturated(t)
+			// With the only slot pinned, probes and scrapes still answer 200.
+			for _, path := range []string{obs.PathHealthz, obs.PathReadyz} {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s = %d under saturation, want 200", path, resp.StatusCode)
+				}
+			}
+			snap := fetchSnapshot(t, ts.URL)
+			if got := snap.Counters[MetricAdmissionInflight]; got != 1 {
+				t.Errorf("admission.inflight = %d, want 1", got)
+			}
 
-	unblock()
-	snap = fetchSnapshot(t, ts.URL)
-	if got := snap.Counters[MetricAdmissionInflight]; got != 0 {
-		t.Errorf("admission.inflight = %d after quiesce", got)
+			// Drain: readyz flips to 503, healthz stays 200, traffic still flows.
+			srv.Drain()
+			resp, err := http.Get(ts.URL + obs.PathReadyz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("readyz after Drain = %d, want 503", resp.StatusCode)
+			}
+			resp, err = http.Get(ts.URL + obs.PathHealthz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("healthz after Drain = %d, want 200", resp.StatusCode)
+			}
+
+			unblock()
+			snap = fetchSnapshot(t, ts.URL)
+			if got := snap.Counters[MetricAdmissionInflight]; got != 0 {
+				t.Errorf("admission.inflight = %d after quiesce", got)
+			}
+		})
 	}
 }
 

@@ -680,30 +680,17 @@ func (a *authenticator) middleware(next http.Handler, maxBody int64) http.Handle
 	})
 }
 
-// WithAuth requires a valid request signature on every API route of a
-// server (GSP or LBS): clients sign with WithSigningKey, the server
-// verifies against the keyring in constant time, rejects forgeries and
-// tampering with 401 + a structured AuthErrorResponse, rejects
-// timestamps outside the window and replayed nonces, and passes the
-// verified principal downstream (VerifiedPrincipal) — when auth is on,
-// the budget ledger charges only that identity and the X-Principal
-// fallback chain is disabled. Operational endpoints (/healthz, /readyz,
-// /v1/metrics) and the opt-in pprof prefix stay unsigned. A nil or
-// empty keyring disables auth (the default), leaving every flow
-// byte-identical to an unauthenticated server.
+// WithAuth requires a valid request signature on every API route:
+// clients sign with WithSigningKey, the server verifies against the
+// keyring in constant time, rejects forgeries and tampering with 401 + a
+// structured AuthErrorResponse, rejects timestamps outside the window and
+// replayed nonces, and passes the verified principal downstream
+// (VerifiedPrincipal) — when auth is on, the budget ledger charges only
+// that identity and the X-Principal fallback chain is disabled.
+// Operational endpoints (/healthz, /readyz, /v1/metrics) and the opt-in
+// pprof prefix stay unsigned. A nil or empty keyring disables auth (the
+// default), leaving every flow byte-identical to an unauthenticated
+// server. All three servers read it.
 func WithAuth(kr *Keyring, opts ...AuthOption) ServerOption {
-	return ServerOption{
-		gsp:     func(s *GSPServer) { s.authKeys, s.authOpts = kr, opts },
-		lbs:     func(s *LBSServer) { s.authKeys, s.authOpts = kr, opts },
-		cluster: func(g *ClusterGateway) { g.authKeys, g.authOpts = kr, opts },
-	}
-}
-
-// newServerAuth builds the authenticator for a server, or nil when auth
-// is disabled.
-func newServerAuth(kr *Keyring, opts []AuthOption) *authenticator {
-	if kr == nil || kr.Len() == 0 {
-		return nil
-	}
-	return newAuthenticator(kr, opts...)
+	return func(st *serverSettings) { st.authKeys, st.authOpts = kr, opts }
 }

@@ -188,7 +188,7 @@ func TestAuthAdmissionBudgetStacked(t *testing.T) {
 	led.ExportMetrics(reg)
 	aud := &blockingAuditor{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	srv := NewLBSServer(city.M(),
-		WithLBSMetrics(reg),
+		WithMetrics(reg),
 		WithAuth(kr),
 		WithAdmission(1, 0, 50*time.Millisecond),
 		WithBudget(led, 0.5, 0),

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -362,9 +363,11 @@ func TestAuthBypassProbesEveryRoute(t *testing.T) {
 	}
 	lbsTS, _ := newLBSTestServer(t,
 		WithAuth(kr, WithAuthClock(clk.Now)), WithBudget(led, 0.5, 0))
+	gwTS, gw := newGatewayTestServer(t, gspTS.URL, WithAuth(kr, WithAuthClock(clk.Now)))
 
 	relBody, _ := json.Marshal(testRelease(t, "alice"))
 	batchBody, _ := json.Marshal(BatchRequest{Items: []BatchItem{{R: 300}}})
+	joinBody, _ := json.Marshal(ClusterJoinRequest{URL: "http://127.0.0.1:1"})
 	probes := []struct {
 		base, method, path string
 		body               []byte
@@ -379,9 +382,19 @@ func TestAuthBypassProbesEveryRoute(t *testing.T) {
 		{lbsTS.URL, http.MethodGet, PathReleases + "?user=alice", nil},
 		{lbsTS.URL, http.MethodGet, PathBudget + "/alice", nil},
 		{lbsTS.URL, http.MethodPost, PathBudget + "/alice/reset", nil},
+		{gwTS.URL, http.MethodGet, PathStats, nil},
+		{gwTS.URL, http.MethodGet, PathPOIs, nil},
+		{gwTS.URL, http.MethodGet, PathQuery + "?x=1&y=2&r=300", nil},
+		{gwTS.URL, http.MethodGet, PathFreq + "?x=1&y=2&r=300", nil},
+		{gwTS.URL, http.MethodPost, PathFreqBatch, batchBody},
+		{gwTS.URL, http.MethodPost, PathQueryBatch, batchBody},
+		{gwTS.URL, http.MethodGet, PathClusterPeers, nil},
+		{gwTS.URL, http.MethodPost, PathClusterPeers, joinBody},
+		{gwTS.URL, http.MethodDelete, PathClusterPeers + "/" + url.PathEscape(gspTS.URL), nil},
 		// Unregistered paths 401 too: the middleware sits outside the mux,
 		// so route discovery via 404-vs-401 oracle is not possible.
 		{gspTS.URL, http.MethodGet, "/v1/secret", nil},
+		{gwTS.URL, http.MethodGet, "/v1/secret", nil},
 	}
 	for _, p := range probes {
 		status, body := signedProbe(t, p.base, p.method, p.path, p.body, "", nil, clk.Now(), "", nil)
@@ -398,8 +411,13 @@ func TestAuthBypassProbesEveryRoute(t *testing.T) {
 	// the path, after all) but must be refused — see
 	// TestAuthBudgetAdminCrossTenantForbidden for the full matrix.
 
+	// Unsigned probes never reached the gateway's membership.
+	if n := len(gw.peersResponse().Peers); n != 1 {
+		t.Errorf("unsigned probes changed the gateway's membership: %d peers", n)
+	}
+
 	// Ops endpoints answer unsigned.
-	for _, base := range []string{gspTS.URL, lbsTS.URL} {
+	for _, base := range []string{gspTS.URL, lbsTS.URL, gwTS.URL} {
 		for _, path := range []string{obs.PathHealthz, obs.PathReadyz, obs.PathMetrics} {
 			resp, err := http.Get(base + path)
 			if err != nil {

@@ -134,19 +134,6 @@ func (s *GSPServer) splitBatch(items []BatchItem, report func(i int, err error))
 	return reqs, idx
 }
 
-// admitBatch charges a decoded batch by its item weight against the
-// server's admission limiter: a 256-item batch occupies 256 slots (or
-// the whole limiter if smaller), so batches can no longer smuggle
-// unbounded fan-out work past a per-request concurrency bound. Returns
-// a release func, or writes the 503 shed and reports false. No-op when
-// admission is disabled.
-func (s *GSPServer) admitBatch(w http.ResponseWriter, r *http.Request, n int) (func(), bool) {
-	if s.admit == nil {
-		return func() {}, true
-	}
-	return s.admit.admitHTTP(w, r, int64(n))
-}
-
 func (s *GSPServer) handleFreqBatch(w http.ResponseWriter, r *http.Request) {
 	items, ok := s.decodeBatch(w, r)
 	if !ok {

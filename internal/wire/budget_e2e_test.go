@@ -73,7 +73,7 @@ func TestBudgetEnforcedReleaseE2E(t *testing.T) {
 	reg := obs.NewRegistry()
 	led.ExportMetrics(reg)
 	ts, client := newLBSTestServer(t,
-		WithBudget(led, relEps, relDelta), WithLBSMetrics(reg))
+		WithBudget(led, relEps, relDelta), WithMetrics(reg))
 	ctx := context.Background()
 	rel := testRelease(t, "alice")
 

@@ -188,15 +188,25 @@ func (t *peerTable) remove(url string) (*clusterPeer, bool) {
 // readiness probe and a cache pre-warm of its incoming cells) and
 // DELETE /v1/cluster/peers/{url} retires one, both without a restart.
 //
-// ClusterGateway is an http.Handler; callers own the http.Server.
+// ClusterGateway is an http.Handler, and ListenAndServe runs it as a
+// daemon.
 type ClusterGateway struct {
-	mux *http.ServeMux
-	log *log.Logger
-
+	serverCore
+	gatewaySettings
 	maxRadius float64
 	maxBatch  int
-	maxBody   int64
 
+	ring *cluster.Ring
+	// table is the live membership; memberMu serializes admin joins and
+	// leaves (probes and fan-outs only read).
+	table    *peerTable
+	memberMu sync.Mutex
+
+	fanout obs.Histogram
+}
+
+// gatewaySettings are the settings only the gateway reads.
+type gatewaySettings struct {
 	cellSize  float64
 	cityLabel string
 	vnodes    int
@@ -213,117 +223,57 @@ type ClusterGateway struct {
 
 	peerTransport http.RoundTripper
 	peerOpts      []ClientOption
-
-	ring *cluster.Ring
-	// table is the live membership; memberMu serializes admin joins and
-	// leaves (probes and fan-outs only read).
-	table    *peerTable
-	memberMu sync.Mutex
-
-	reg      *obs.Registry
-	fanout   obs.Histogram
-	pprof    bool
-	handler  http.Handler
-	draining atomic.Bool
-
-	admitCfg AdmissionConfig
-	admit    *admission
-
-	authKeys *Keyring
-	authOpts []AuthOption
-	auth     *authenticator
 }
 
 var _ http.Handler = (*ClusterGateway)(nil)
 
-// ClusterOption customizes a ClusterGateway. The shared ServerOption
-// values (WithAdmission, WithMaxBody, WithAuth) satisfy this interface
-// too, so the gateway mirrors gspd's admission and auth configuration
-// with the same option values.
-type ClusterOption interface {
-	applyCluster(*ClusterGateway)
-}
-
-type clusterOption func(*ClusterGateway)
-
-func (o clusterOption) applyCluster(g *ClusterGateway) { o(g) }
-
-// WithClusterLogger sets the gateway's logger (default log.Default()).
-func WithClusterLogger(l *log.Logger) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) { g.log = l })
-}
-
-// WithClusterMetrics shares an externally owned metrics registry.
-func WithClusterMetrics(reg *obs.Registry) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
-		if reg != nil {
-			g.reg = reg
-		}
-	})
-}
-
-// WithClusterMaxRadius caps the accepted query radius in meters; it
-// must match the shards' -max-radius so gateway-side validation rejects
-// exactly what the shards would.
-func WithClusterMaxRadius(r float64) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) { g.maxRadius = r })
-}
-
-// WithClusterMaxBatch caps items per batch request, mirroring the
-// shards' WithMaxBatch.
-func WithClusterMaxBatch(n int) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
-		if n > 0 {
-			g.maxBatch = n
-		}
-	})
-}
-
 // WithVirtualNodes sets the consistent-hash ring's virtual nodes per
-// shard (default cluster.DefaultVirtualNodes).
-func WithVirtualNodes(n int) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
+// shard (default cluster.DefaultVirtualNodes). Only the gateway reads
+// it.
+func WithVirtualNodes(n int) ServerOption {
+	return func(st *serverSettings) {
 		if n > 0 {
-			g.vnodes = n
+			st.gw.vnodes = n
 		}
-	})
+	}
 }
 
 // WithCellSize sets the routing grid's cell edge in meters (default
 // cluster.DefaultCellSize). All gateways over one fleet must agree.
-func WithCellSize(m float64) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
+// Only the gateway reads it.
+func WithCellSize(m float64) ServerOption {
+	return func(st *serverSettings) {
 		if m > 0 {
-			g.cellSize = m
+			st.gw.cellSize = m
 		}
-	})
+	}
 }
 
 // WithCityLabel sets the city component of the routing keyspace,
 // isolating co-hosted cities on one fleet. Single-city deployments may
-// leave it empty (the default).
-func WithCityLabel(label string) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) { g.cityLabel = label })
+// leave it empty (the default). Only the gateway reads it.
+func WithCityLabel(label string) ServerOption {
+	return func(st *serverSettings) { st.gw.cityLabel = label }
 }
 
 // WithProbeInterval sets the health-probe cadence for StartProber
-// (default DefaultProbeInterval).
-func WithProbeInterval(d time.Duration) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
+// (default DefaultProbeInterval). Only the gateway reads it.
+func WithProbeInterval(d time.Duration) ServerOption {
+	return func(st *serverSettings) {
 		if d > 0 {
-			g.probeInterval = d
+			st.gw.probeInterval = d
 		}
-	})
+	}
 }
 
 // WithProbeTimeout bounds one /readyz probe (default
-// DefaultProbeTimeout).
-func WithProbeTimeout(d time.Duration) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
+// DefaultProbeTimeout). Only the gateway reads it.
+func WithProbeTimeout(d time.Duration) ServerOption {
+	return func(st *serverSettings) {
 		if d > 0 {
-			g.probeTimeout = d
+			st.gw.probeTimeout = d
 		}
-	})
+	}
 }
 
 // WithReplicas makes every single-query GET race up to r distinct ring
@@ -331,24 +281,25 @@ func WithProbeTimeout(d time.Duration) ClusterOption {
 // Every shard holds the full city, so any replica's answer is the
 // answer; replication buys tail latency and availability, not
 // correctness. The hedging delay (WithHedgeDelay) keeps the common
-// case at one RPC.
-func WithReplicas(r int) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
+// case at one RPC. Only the gateway reads it.
+func WithReplicas(r int) ServerOption {
+	return func(st *serverSettings) {
 		if r > 0 {
-			g.replicas = r
+			st.gw.replicas = r
 		}
-	})
+	}
 }
 
 // WithHedgeDelay sets how long a replicated GET waits on the current
 // replica before launching the next one (default DefaultHedgeDelay).
 // Errors fail over immediately regardless of the delay.
-func WithHedgeDelay(d time.Duration) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
+// Only the gateway reads it.
+func WithHedgeDelay(d time.Duration) ServerOption {
+	return func(st *serverSettings) {
 		if d > 0 {
-			g.hedgeDelay = d
+			st.gw.hedgeDelay = d
 		}
-	})
+	}
 }
 
 // WithClusterAdmin names the one principal allowed to mutate cluster
@@ -356,40 +307,42 @@ func WithHedgeDelay(d time.Duration) ClusterOption {
 // budget admin surface's tenant rule: without auth the endpoints are
 // open (the deployment has decided identity doesn't exist), with auth
 // they are tenant-isolated — and if no admin principal is named, all
-// mutations are refused (fail closed).
-func WithClusterAdmin(principal string) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) { g.adminPrincipal = principal })
+// mutations are refused (fail closed). Only the gateway reads it.
+func WithClusterAdmin(principal string) ServerOption {
+	return func(st *serverSettings) { st.gw.adminPrincipal = principal }
 }
 
 // WithWarmRadius sets the query radius used when pre-warming a joining
 // shard's cells (default: the routing cell size).
-func WithWarmRadius(m float64) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
+// Only the gateway reads it.
+func WithWarmRadius(m float64) ServerOption {
+	return func(st *serverSettings) {
 		if m > 0 {
-			g.warmRadius = m
+			st.gw.warmRadius = m
 		}
-	})
+	}
 }
 
 // WithWarmMaxCells caps the cells one join pre-warms (default
 // DefaultWarmMaxCells); 0 disables pre-warming entirely.
-func WithWarmMaxCells(n int) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
+// Only the gateway reads it.
+func WithWarmMaxCells(n int) ServerOption {
+	return func(st *serverSettings) {
 		if n >= 0 {
-			g.warmMaxCells = n
+			st.gw.warmMaxCells = n
 		}
-	})
+	}
 }
 
 // WithPeerTransport sets the http.RoundTripper under every per-shard
 // client and health probe (default http.DefaultTransport). The cluster
-// e2e injects shard death here.
-func WithPeerTransport(rt http.RoundTripper) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
+// e2e injects shard death here. Only the gateway reads it.
+func WithPeerTransport(rt http.RoundTripper) ServerOption {
+	return func(st *serverSettings) {
 		if rt != nil {
-			g.peerTransport = rt
+			st.gw.peerTransport = rt
 		}
-	})
+	}
 }
 
 // WithPeerClientOptions appends options to every per-shard wire client
@@ -397,47 +350,35 @@ func WithPeerTransport(rt http.RoundTripper) ClusterOption {
 // shards, WithRetries/WithBackoff to tune the fan-out retry policy.
 // They are applied after the gateway's defaults (2 retries, the probe
 // timeout as per-attempt bound), so they win.
-func WithPeerClientOptions(opts ...ClientOption) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) {
-		g.peerOpts = append(g.peerOpts, opts...)
-	})
-}
-
-// WithClusterPprof serves net/http/pprof under /debug/pprof/ (default
-// off), mirroring gspd's -pprof.
-func WithClusterPprof(on bool) ClusterOption {
-	return clusterOption(func(g *ClusterGateway) { g.pprof = on })
+// Only the gateway reads it.
+func WithPeerClientOptions(opts ...ClientOption) ServerOption {
+	return func(st *serverSettings) { st.gw.peerOpts = append(st.gw.peerOpts, opts...) }
 }
 
 // NewClusterGateway builds a gateway over an initial shard list (base
 // URLs). Every peer starts on the ring; the prober corrects membership
 // from /readyz, and the /v1/cluster/peers admin surface grows and
 // shrinks the fleet at runtime. The peer list must be non-empty and
-// duplicate-free.
-func NewClusterGateway(peers []string, opts ...ClusterOption) (*ClusterGateway, error) {
+// duplicate-free. It reads the core options, WithMaxRadius, WithMaxBatch
+// and the gateway's own options above.
+func NewClusterGateway(peers []string, opts ...ServerOption) (*ClusterGateway, error) {
+	st := newSettings(log.Default(), opts)
 	g := &ClusterGateway{
-		mux:           http.NewServeMux(),
-		log:           log.Default(),
-		maxRadius:     10_000,
-		maxBatch:      DefaultMaxBatch,
-		maxBody:       DefaultMaxBody,
-		cellSize:      cluster.DefaultCellSize,
-		vnodes:        cluster.DefaultVirtualNodes,
-		probeInterval: DefaultProbeInterval,
-		probeTimeout:  DefaultProbeTimeout,
-		replicas:      1,
-		hedgeDelay:    DefaultHedgeDelay,
-		warmMaxCells:  DefaultWarmMaxCells,
-		peerTransport: http.DefaultTransport,
-		reg:           obs.NewRegistry(),
-		table:         newPeerTable(),
-	}
-	for _, opt := range opts {
-		opt.applyCluster(g)
+		gatewaySettings: st.gw,
+		maxRadius:       st.maxRadius,
+		maxBatch:        st.maxBatch,
+		table:           newPeerTable(),
 	}
 	if len(peers) == 0 {
 		return nil, errors.New("wire: cluster gateway needs at least one shard")
 	}
+	// Past Drain, readiness also needs a healthy shard to route to.
+	g.initCore(st, func() error {
+		if g.healthyCount() == 0 {
+			return errNoHealthyShards
+		}
+		return nil
+	}, PathFreqBatch, PathQueryBatch)
 	g.ring = cluster.New(g.vnodes)
 	for i, raw := range peers {
 		u := strings.TrimRight(strings.TrimSpace(raw), "/")
@@ -462,30 +403,6 @@ func NewClusterGateway(peers []string, opts ...ClusterOption) (*ClusterGateway, 
 	g.mux.HandleFunc("GET "+PathClusterPeers, g.handlePeersList)
 	g.mux.HandleFunc("POST "+PathClusterPeers, g.handlePeerJoin)
 	g.mux.HandleFunc("DELETE "+PathClusterPeers+"/{url}", g.handlePeerLeave)
-	if g.pprof {
-		registerPprof(g.mux)
-	}
-
-	// Middleware order mirrors GSPServer exactly: admission inside auth
-	// inside instrumentation, so a forged request costs one HMAC and a
-	// shed is counted per route.
-	var inner http.Handler = g.mux
-	if g.admitCfg.Limit > 0 {
-		g.admit = newAdmission(g.admitCfg)
-		g.admit.export(g.reg)
-		inner = g.admit.middleware(inner, map[string]bool{
-			PathFreqBatch:  true,
-			PathQueryBatch: true,
-		})
-	}
-	if g.auth = newServerAuth(g.authKeys, g.authOpts); g.auth != nil {
-		g.auth.export(g.reg)
-		inner = g.auth.middleware(inner, g.maxBody)
-	}
-	g.handler = obs.Instrument(g.reg, inner,
-		obs.WithRequestHook(g.logRequest),
-		obs.WithReadyCheck(g.readyCheck))
-
 	for _, p := range g.table.snapshot() {
 		g.log.Printf("cluster: shard %d = %s", p.index, p.url)
 	}
@@ -547,34 +464,9 @@ func (g *ClusterGateway) exportPeerMetrics(p *clusterPeer) {
 	})
 }
 
-// Metrics returns the gateway's metrics registry.
-func (g *ClusterGateway) Metrics() *obs.Registry { return g.reg }
-
-// Drain flips /readyz to 503 ahead of shutdown, like GSPServer.Drain.
-func (g *ClusterGateway) Drain() { g.draining.Store(true) }
-
-// ServeHTTP implements http.Handler.
-func (g *ClusterGateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	g.handler.ServeHTTP(w, r)
-}
-
-func (g *ClusterGateway) logRequest(method, path string, status int, d time.Duration) {
-	g.log.Printf("%s %s %d %s", method, path, status, d.Round(time.Microsecond))
-}
-
 // errNoHealthyShards is reported when the ring is empty — every shard
 // evicted and none recovered yet.
 var errNoHealthyShards = errors.New("wire: no healthy shards")
-
-func (g *ClusterGateway) readyCheck() error {
-	if g.draining.Load() {
-		return errDraining
-	}
-	if g.healthyCount() == 0 {
-		return errNoHealthyShards
-	}
-	return nil
-}
 
 func (g *ClusterGateway) healthyCount() int {
 	n := 0
@@ -1149,15 +1041,6 @@ func (g *ClusterGateway) prewarm(ctx context.Context, joiner *clusterPeer) error
 		g.log.Printf("cluster: pre-warmed %d cells into %s", len(jobs), joiner.url)
 	}
 	return nil
-}
-
-// admitBatch mirrors GSPServer.admitBatch: item-count weight against
-// the gateway's own admission gate.
-func (g *ClusterGateway) admitBatch(w http.ResponseWriter, r *http.Request, n int) (func(), bool) {
-	if g.admit == nil {
-		return func() {}, true
-	}
-	return g.admit.admitHTTP(w, r, int64(n))
 }
 
 // shardBatch is one shard's slice of a batch fan-out: the items it

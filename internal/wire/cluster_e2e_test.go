@@ -112,7 +112,7 @@ type clusterHarness struct {
 	gw        *ClusterGateway
 	shards    []*httptest.Server
 	kill      *killSwitch
-	shardOpts []GSPServerOption
+	shardOpts []ServerOption
 }
 
 const (
@@ -127,7 +127,7 @@ const (
 // the gateway's peer clients re-sign as the gateway principal — the
 // trust chain of a real deployment. extra options are appended to the
 // gateway's, so tests can turn on replicas, membership admin, etc.
-func newClusterHarness(t *testing.T, nShards int, withAuth bool, extra ...ClusterOption) *clusterHarness {
+func newClusterHarness(t *testing.T, nShards int, withAuth bool, extra ...ServerOption) *clusterHarness {
 	t.Helper()
 	_, svc := wireFixture(t)
 	quiet := WithLogger(log.New(io.Discard, "", 0))
@@ -145,7 +145,7 @@ func newClusterHarness(t *testing.T, nShards int, withAuth bool, extra ...Cluste
 		t.Fatal(err)
 	}
 
-	var shardOpts, singleOpts []GSPServerOption
+	var shardOpts, singleOpts []ServerOption
 	shardOpts = append(shardOpts, quiet)
 	singleOpts = append(singleOpts, quiet)
 	if withAuth {
@@ -168,8 +168,8 @@ func newClusterHarness(t *testing.T, nShards int, withAuth bool, extra ...Cluste
 	if withAuth {
 		peerOpts = append(peerOpts, WithSigningKey(gatewayPrincipal, gwKey))
 	}
-	gwOpts := []ClusterOption{
-		WithClusterLogger(log.New(io.Discard, "", 0)),
+	gwOpts := []ServerOption{
+		WithLogger(log.New(io.Discard, "", 0)),
 		WithPeerTransport(h.kill),
 		WithPeerClientOptions(peerOpts...),
 		WithProbeTimeout(200 * time.Millisecond),
@@ -626,10 +626,10 @@ func TestClusterGatewayAdmissionAndLimits(t *testing.T) {
 	defer shard.Close()
 
 	gw, err := NewClusterGateway([]string{shard.URL},
-		WithClusterLogger(log.New(io.Discard, "", 0)),
+		WithLogger(log.New(io.Discard, "", 0)),
 		WithAdmission(1, 0, 0),
 		WithMaxBody(128),
-		WithClusterMaxBatch(4))
+		WithMaxBatch(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -844,7 +844,7 @@ func TestClusterProberReconcilesAtBoot(t *testing.T) {
 // absent.
 func TestClusterRetryAfterSubSecondHint(t *testing.T) {
 	gw, err := NewClusterGateway([]string{"http://unused.invalid:1"},
-		WithClusterLogger(log.New(io.Discard, "", 0)))
+		WithLogger(log.New(io.Discard, "", 0)))
 	if err != nil {
 		t.Fatal(err)
 	}

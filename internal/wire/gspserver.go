@@ -7,124 +7,35 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync/atomic"
-	"time"
 
 	"poiagg/internal/geo"
 	"poiagg/internal/gsp"
-	"poiagg/internal/obs"
 )
 
 // GSPServer serves the geo-information provider's query interface over
-// HTTP. It is an http.Handler; callers own the http.Server (timeouts,
-// TLS, shutdown). Unless instrumentation is disabled it also serves the
-// operational endpoints /v1/metrics, /healthz, and /readyz.
+// HTTP, plus the operational endpoints /v1/metrics, /healthz and /readyz
+// of its serverCore. It is an http.Handler, and ListenAndServe runs it
+// as a daemon.
 type GSPServer struct {
+	serverCore
 	svc *gsp.Service
-	mux *http.ServeMux
-	log *log.Logger
 	// maxRadius rejects abusive range queries.
 	maxRadius float64
 	// maxBatch bounds items per batch request.
 	maxBatch int
-	// maxBody caps POST request bodies in bytes.
-	maxBody int64
-
-	reg        *obs.Registry
-	instrument bool
-	pprof      bool
-	handler    http.Handler
-
-	admitCfg AdmissionConfig
-	admit    *admission // nil when admission is disabled
-	draining atomic.Bool
-
-	authKeys *Keyring
-	authOpts []AuthOption
-	auth     *authenticator // nil when auth is disabled
-
-	encCap int       // encoded-response cache capacity; <= 0 disables
-	enc    *encCache // nil when the encoded cache is disabled
+	enc      *encCache // nil when the encoded cache is disabled
 }
 
 var _ http.Handler = (*GSPServer)(nil)
 
-// GSPServerOption customizes a GSPServer. Options are built with the
-// With* constructors; ServerOption values (admission control, body
-// caps) satisfy this interface too, so the same option value configures
-// a GSP or an LBS server.
-type GSPServerOption interface {
-	applyGSP(*GSPServer)
-}
-
-// gspOption adapts a plain function to GSPServerOption.
-type gspOption func(*GSPServer)
-
-func (o gspOption) applyGSP(s *GSPServer) { o(s) }
-
-// WithLogger sets the request logger (default: log.Default()).
-func WithLogger(l *log.Logger) GSPServerOption {
-	return gspOption(func(s *GSPServer) { s.log = l })
-}
-
-// WithMaxRadius caps the accepted query radius in meters (default 10 km).
-func WithMaxRadius(r float64) GSPServerOption {
-	return gspOption(func(s *GSPServer) { s.maxRadius = r })
-}
-
-// WithMaxBatch caps the number of items accepted in one batch request
-// (default DefaultMaxBatch).
-func WithMaxBatch(n int) GSPServerOption {
-	return gspOption(func(s *GSPServer) {
-		if n > 0 {
-			s.maxBatch = n
-		}
-	})
-}
-
-// WithMetrics shares an externally owned metrics registry (default: a
-// fresh private one). Daemons pass their process registry so client
-// counters and server routes appear in one /v1/metrics document.
-func WithMetrics(reg *obs.Registry) GSPServerOption {
-	return gspOption(func(s *GSPServer) {
-		if reg != nil {
-			s.reg = reg
-		}
-	})
-}
-
-// WithInstrumentation toggles the metrics middleware and operational
-// endpoints (default on). Disabling it yields the bare handler — used by
-// BenchmarkGSPServerParallel to price the middleware.
-func WithInstrumentation(on bool) GSPServerOption {
-	return gspOption(func(s *GSPServer) { s.instrument = on })
-}
-
-// WithPprof serves the net/http/pprof profiling endpoints under
-// /debug/pprof/ (default off — the endpoints expose runtime internals,
-// so daemons gate them behind an explicit -pprof flag).
-func WithPprof(on bool) GSPServerOption {
-	return gspOption(func(s *GSPServer) { s.pprof = on })
-}
-
-// NewGSPServer wraps a GSP service as an HTTP handler.
-func NewGSPServer(svc *gsp.Service, opts ...GSPServerOption) *GSPServer {
-	s := &GSPServer{
-		svc:        svc,
-		mux:        http.NewServeMux(),
-		log:        log.Default(),
-		maxRadius:  10_000,
-		maxBatch:   DefaultMaxBatch,
-		maxBody:    DefaultMaxBody,
-		reg:        obs.NewRegistry(),
-		instrument: true,
-		encCap:     DefaultEncodedCache,
-	}
-	for _, opt := range opts {
-		opt.applyGSP(s)
-	}
-	if s.encCap > 0 {
-		s.enc = newEncCache(s.encCap)
+// NewGSPServer wraps a GSP service as an HTTP handler. It reads the
+// core options, WithMaxRadius, WithMaxBatch and WithEncodedCache.
+func NewGSPServer(svc *gsp.Service, opts ...ServerOption) *GSPServer {
+	st := newSettings(log.Default(), opts)
+	s := &GSPServer{svc: svc, maxRadius: st.maxRadius, maxBatch: st.maxBatch}
+	s.initCore(st, nil, PathFreqBatch, PathQueryBatch)
+	if st.encCap > 0 {
+		s.enc = newEncCache(st.encCap)
 		s.enc.export(s.reg)
 	}
 	s.mux.HandleFunc("GET "+PathStats, s.handleStats)
@@ -132,86 +43,7 @@ func NewGSPServer(svc *gsp.Service, opts ...GSPServerOption) *GSPServer {
 	s.mux.HandleFunc("GET "+PathFreq, s.handleFreq)
 	s.registerPOIDump()
 	s.registerBatch()
-	if s.pprof {
-		registerPprof(s.mux)
-	}
-	var inner http.Handler = s.mux
-	if s.admitCfg.Limit > 0 {
-		s.admit = newAdmission(s.admitCfg)
-		s.admit.export(s.reg)
-		// The batch endpoints admit themselves at item weight after
-		// decoding; everything else is gated here at weight 1.
-		inner = s.admit.middleware(inner, map[string]bool{
-			PathFreqBatch:  true,
-			PathQueryBatch: true,
-		})
-	}
-	if s.auth = newServerAuth(s.authKeys, s.authOpts); s.auth != nil {
-		s.auth.export(s.reg)
-		// Auth sits outside admission: a forged request costs one HMAC
-		// and is gone — it never occupies an admission slot.
-		inner = s.auth.middleware(inner, s.maxBody)
-	}
-	if s.instrument {
-		s.handler = obs.Instrument(s.reg, inner,
-			obs.WithRequestHook(s.logRequest),
-			obs.WithReadyCheck(s.readyCheck))
-	} else {
-		s.handler = loggedHandler{mux: inner, hook: s.logRequest}
-	}
 	return s
-}
-
-// Metrics returns the server's metrics registry.
-func (s *GSPServer) Metrics() *obs.Registry { return s.reg }
-
-// Drain flips /readyz to 503 so load balancers stop routing new work
-// here while in-flight requests finish; the daemons call it on SIGTERM
-// before http.Server.Shutdown.
-func (s *GSPServer) Drain() { s.draining.Store(true) }
-
-func (s *GSPServer) readyCheck() error {
-	if s.draining.Load() {
-		return errDraining
-	}
-	return nil
-}
-
-// ServeHTTP implements http.Handler.
-func (s *GSPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
-}
-
-func (s *GSPServer) logRequest(method, path string, status int, d time.Duration) {
-	s.log.Printf("%s %s %d %s", method, path, status, d.Round(time.Microsecond))
-}
-
-// errDraining is the readiness error reported after Drain.
-var errDraining = errors.New("draining")
-
-// loggedHandler is the uninstrumented fallback: status capture for the
-// log line only, no metrics.
-type loggedHandler struct {
-	mux  http.Handler
-	hook func(method, path string, status int, d time.Duration)
-}
-
-func (h loggedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	h.mux.ServeHTTP(sw, r)
-	h.hook(r.Method, r.URL.Path, sw.status, time.Since(start))
-}
-
-// statusWriter records the response status for logging.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
 }
 
 func (s *GSPServer) handleStats(w http.ResponseWriter, _ *http.Request) {

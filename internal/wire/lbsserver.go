@@ -3,18 +3,15 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
-	"log"
 	"math"
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"poiagg/internal/attack"
 	"poiagg/internal/budget"
 	"poiagg/internal/gsp"
-	"poiagg/internal/obs"
 	"poiagg/internal/poi"
 	"poiagg/internal/stream"
 )
@@ -45,26 +42,22 @@ func (a RegionAuditor) Audit(f poi.FreqVector, r float64) (bool, int) {
 // LBSServer is the POI-based application service: it accepts frequency
 // vector releases, stores a bounded per-user history, and optionally
 // audits each release for re-identifiability. Like GSPServer it serves
-// /v1/metrics, /healthz, and /readyz.
+// /v1/metrics, /healthz, and /readyz through its serverCore.
 type LBSServer struct {
-	mux     *http.ServeMux
-	auditor Auditor // nil disables auditing
-	m       int     // expected vector dimension
-	maxR    float64 // reject implausible query ranges
-	maxBody int64   // POST body cap in bytes
+	serverCore
+	lbsSettings
+	m int // expected vector dimension
 
-	reg     *obs.Registry
-	log     *log.Logger // nil disables per-request logging
-	pprof   bool
-	handler http.Handler
+	mu      sync.Mutex
+	history map[string]*userHistory
+	userQ   []string // second-chance queue over user IDs, front = oldest
+}
 
-	admitCfg AdmissionConfig
-	admit    *admission // nil when admission is disabled
-	draining atomic.Bool
-
-	authKeys *Keyring
-	authOpts []AuthOption
-	auth     *authenticator // nil when auth is disabled
+// lbsSettings are the settings only the LBS server reads.
+type lbsSettings struct {
+	auditor      Auditor // nil disables auditing
+	historyLimit int     // stored releases per user
+	historyUsers int     // distinct users with stored history
 
 	// ledger, when set, charges (releaseEps, releaseDelta) per accepted
 	// release and serves the /v1/budget admin endpoints.
@@ -76,12 +69,6 @@ type LBSServer struct {
 	// POST /v1/ingest and GET /v1/stream/releases.
 	streamStore *stream.Store
 	streamRel   *stream.Releaser
-
-	mu       sync.Mutex
-	history  map[string]*userHistory
-	userQ    []string // second-chance queue over user IDs, front = oldest
-	maxPerID int
-	maxUsers int
 }
 
 // userHistory is one user's stored releases plus its second-chance bit.
@@ -94,84 +81,39 @@ type userHistory struct {
 // history; bounded by WithHistoryUsers.
 const MetricLBSHistoryUsers = "lbs.history_users"
 
+// maxReleaseRadius rejects implausible release query ranges (meters),
+// matching the GSP's default query cap.
+const maxReleaseRadius = 10_000
+
 // DefaultHistoryUsers caps distinct users with stored history unless
 // WithHistoryUsers overrides it.
 const DefaultHistoryUsers = 10_000
 
 var _ http.Handler = (*LBSServer)(nil)
 
-// LBSServerOption customizes an LBSServer. ServerOption values
-// (admission control, body caps) satisfy this interface too.
-type LBSServerOption interface {
-	applyLBS(*LBSServer)
+// WithAuditor enables release auditing. Only the LBS server reads it.
+func WithAuditor(a Auditor) ServerOption {
+	return func(st *serverSettings) { st.lbs.auditor = a }
 }
 
-// lbsOption adapts a plain function to LBSServerOption.
-type lbsOption func(*LBSServer)
-
-func (o lbsOption) applyLBS(s *LBSServer) { o(s) }
-
-// WithAuditor enables release auditing.
-func WithAuditor(a Auditor) LBSServerOption {
-	return lbsOption(func(s *LBSServer) { s.auditor = a })
-}
-
-// WithHistoryLimit caps stored releases per user (default 1000).
-func WithHistoryLimit(n int) LBSServerOption {
-	return lbsOption(func(s *LBSServer) { s.maxPerID = n })
+// WithHistoryLimit caps stored releases per user (default 1000). Only
+// the LBS server reads it.
+func WithHistoryLimit(n int) ServerOption {
+	return func(st *serverSettings) { st.lbs.historyLimit = n }
 }
 
 // WithHistoryUsers caps the number of distinct users with stored
 // history (default DefaultHistoryUsers). Past the cap, the least
 // recently active user is evicted second-chance style — a flood of
 // unique userIds can no longer grow the history map without bound,
-// while users that keep releasing (or being read) survive.
-func WithHistoryUsers(n int) LBSServerOption {
-	return lbsOption(func(s *LBSServer) {
+// while users that keep releasing (or being read) survive. Only the LBS
+// server reads it.
+func WithHistoryUsers(n int) ServerOption {
+	return func(st *serverSettings) {
 		if n > 0 {
-			s.maxUsers = n
+			st.lbs.historyUsers = n
 		}
-	})
-}
-
-// WithLBSMaxRadius caps the accepted release query range in meters
-// (default 10 km, matching the GSP's cap).
-func WithLBSMaxRadius(r float64) LBSServerOption {
-	return lbsOption(func(s *LBSServer) { s.maxR = r })
-}
-
-// WithLBSMetrics shares an externally owned metrics registry (default: a
-// fresh private one).
-func WithLBSMetrics(reg *obs.Registry) LBSServerOption {
-	return lbsOption(func(s *LBSServer) {
-		if reg != nil {
-			s.reg = reg
-		}
-	})
-}
-
-// WithLBSLogger enables per-request logging (default: off, preserving
-// the server's historically quiet behavior; lbsd turns it on).
-func WithLBSLogger(l *log.Logger) LBSServerOption {
-	return lbsOption(func(s *LBSServer) { s.log = l })
-}
-
-// WithLBSPprof serves the net/http/pprof profiling endpoints under
-// /debug/pprof/ (default off; lbsd gates it behind -pprof).
-func WithLBSPprof(on bool) LBSServerOption {
-	return lbsOption(func(s *LBSServer) { s.pprof = on })
-}
-
-// Drain flips /readyz to 503 so load balancers stop routing new work
-// here while in-flight requests finish; lbsd calls it on SIGTERM before
-// http.Server.Shutdown.
-func (s *LBSServer) Drain() { s.draining.Store(true) }
-
-func (s *LBSServer) readyCheck() error {
-	if s.draining.Load() {
-		return errDraining
 	}
-	return nil
 }
 
 // WithBudget enforces a server-side privacy budget: every accepted
@@ -182,34 +124,29 @@ func (s *LBSServer) readyCheck() error {
 // principals get 429 with a BudgetErrorResponse body, and the
 // /v1/budget/{principal} admin endpoints come alive. Ignored when led
 // is nil or eps is not positive. The server does not own the ledger;
-// the daemon closes a persistent one on shutdown.
-func WithBudget(led *budget.Ledger, eps, delta float64) LBSServerOption {
-	return lbsOption(func(s *LBSServer) {
+// the daemon closes a persistent one on shutdown. Only the LBS server
+// reads it.
+func WithBudget(led *budget.Ledger, eps, delta float64) ServerOption {
+	return func(st *serverSettings) {
 		if led == nil || eps <= 0 || delta < 0 {
 			return
 		}
-		s.ledger = led
-		s.releaseEps = eps
-		s.releaseDelta = delta
-	})
+		st.lbs.ledger, st.lbs.releaseEps, st.lbs.releaseDelta = led, eps, delta
+	}
 }
 
 // NewLBSServer returns an LBS application server expecting frequency
-// vectors of dimension m (the city's type count).
-func NewLBSServer(m int, opts ...LBSServerOption) *LBSServer {
+// vectors of dimension m (the city's type count). It reads the core
+// options, WithAuditor, WithHistoryLimit, WithHistoryUsers, WithBudget
+// and WithStream.
+func NewLBSServer(m int, opts ...ServerOption) *LBSServer {
+	st := newSettings(nil, opts)
 	s := &LBSServer{
-		mux:      http.NewServeMux(),
-		m:        m,
-		maxR:     10_000,
-		maxBody:  DefaultMaxBody,
-		reg:      obs.NewRegistry(),
-		history:  make(map[string]*userHistory),
-		maxPerID: 1000,
-		maxUsers: DefaultHistoryUsers,
+		lbsSettings: st.lbs,
+		m:           m,
+		history:     make(map[string]*userHistory),
 	}
-	for _, opt := range opts {
-		opt.applyLBS(s)
-	}
+	s.initCore(st, nil)
 	s.mux.HandleFunc("POST "+PathRelease, s.handleRelease)
 	s.mux.HandleFunc("GET "+PathReleases, s.handleReleases)
 	if s.ledger != nil {
@@ -224,43 +161,12 @@ func NewLBSServer(m int, opts ...LBSServerOption) *LBSServer {
 		s.mux.HandleFunc("GET "+PathStreamReleases, s.handleStreamReleases)
 		s.streamRel.ExportMetrics(s.reg)
 	}
-	if s.pprof {
-		registerPprof(s.mux)
-	}
 	s.reg.CounterFunc(MetricLBSHistoryUsers, func() uint64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return uint64(len(s.history))
 	})
-	var inner http.Handler = s.mux
-	if s.admitCfg.Limit > 0 {
-		s.admit = newAdmission(s.admitCfg)
-		s.admit.export(s.reg)
-		inner = s.admit.middleware(inner, nil)
-	}
-	if s.auth = newServerAuth(s.authKeys, s.authOpts); s.auth != nil {
-		s.auth.export(s.reg)
-		// Auth sits outside admission: a forged request costs one HMAC
-		// and is gone — it never occupies an admission slot, and a
-		// rejected release never reaches the budget ledger.
-		inner = s.auth.middleware(inner, s.maxBody)
-	}
-	obsOpts := []obs.Option{obs.WithReadyCheck(s.readyCheck)}
-	if s.log != nil {
-		obsOpts = append(obsOpts, obs.WithRequestHook(func(method, path string, status int, d time.Duration) {
-			s.log.Printf("%s %s %d %s", method, path, status, d.Round(time.Microsecond))
-		}))
-	}
-	s.handler = obs.Instrument(s.reg, inner, obsOpts...)
 	return s
-}
-
-// Metrics returns the server's metrics registry.
-func (s *LBSServer) Metrics() *obs.Registry { return s.reg }
-
-// ServeHTTP implements http.Handler.
-func (s *LBSServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
 }
 
 func (s *LBSServer) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -285,7 +191,7 @@ func (s *LBSServer) handleRelease(w http.ResponseWriter, r *http.Request) {
 	case len(rel.Freq) != s.m:
 		writeError(w, http.StatusBadRequest, "freq has wrong dimension")
 		return
-	case !isFinite(rel.R) || rel.R <= 0 || rel.R > s.maxR:
+	case !isFinite(rel.R) || rel.R <= 0 || rel.R > maxReleaseRadius:
 		// NaN fails every comparison, so test it explicitly — a NaN
 		// radius would otherwise sail through <= 0.
 		writeError(w, http.StatusBadRequest, "r out of range")
@@ -335,8 +241,8 @@ func (s *LBSServer) handleRelease(w http.ResponseWriter, r *http.Request) {
 }
 
 // storeRelease appends rel to its user's history, bounding both the
-// per-user entry count (maxPerID) and the total distinct users
-// (maxUsers, second-chance eviction — same one-bit LRU approximation as
+// per-user entry count (historyLimit) and the total distinct users
+// (historyUsers, second-chance eviction — same one-bit LRU approximation as
 // the GSP freq cache, so steadily active users survive a flood of
 // one-shot userIds).
 func (s *LBSServer) storeRelease(rel ReleaseRequest) {
@@ -344,7 +250,7 @@ func (s *LBSServer) storeRelease(rel ReleaseRequest) {
 	defer s.mu.Unlock()
 	uh := s.history[rel.UserID]
 	if uh == nil {
-		for len(s.history) >= s.maxUsers && len(s.userQ) > 0 {
+		for len(s.history) >= s.historyUsers && len(s.userQ) > 0 {
 			oldest := s.userQ[0]
 			s.userQ = s.userQ[1:]
 			old := s.history[oldest]
@@ -364,8 +270,8 @@ func (s *LBSServer) storeRelease(rel ReleaseRequest) {
 	}
 	uh.touched = true
 	uh.rels = append(uh.rels, rel)
-	if len(uh.rels) > s.maxPerID {
-		uh.rels = uh.rels[len(uh.rels)-s.maxPerID:]
+	if len(uh.rels) > s.historyLimit {
+		uh.rels = uh.rels[len(uh.rels)-s.historyLimit:]
 	}
 }
 

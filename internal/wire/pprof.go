@@ -6,7 +6,7 @@ import (
 )
 
 // PathPprof is the profiling endpoint prefix served when profiling is
-// enabled (WithPprof / WithLBSPprof; the daemons' -pprof flag).
+// enabled (WithPprof; the daemons' -pprof flag).
 const PathPprof = "/debug/pprof/"
 
 // registerPprof mounts the net/http/pprof handlers on the server mux.

@@ -20,31 +20,44 @@ func getStatus(t *testing.T, url string) int {
 	return resp.StatusCode
 }
 
+// newPprofGateway serves the cluster gateway over one test shard; the
+// gateway serves the GSP surface, so the GSP pprof tests cover it too.
+func newPprofGateway(t *testing.T, opts ...ServerOption) string {
+	t.Helper()
+	shard, _ := newGSPTestServer(t)
+	ts, _ := newGatewayTestServer(t, shard.URL, opts...)
+	return ts.URL
+}
+
 func TestGSPServerPprofOptIn(t *testing.T) {
 	ts, _ := newGSPTestServer(t, WithPprof(true))
-	if got := getStatus(t, ts.URL+PathPprof); got != http.StatusOK {
-		t.Errorf("pprof index with WithPprof(true): status %d", got)
-	}
-	if got := getStatus(t, ts.URL+PathPprof+"cmdline"); got != http.StatusOK {
-		t.Errorf("pprof cmdline with WithPprof(true): status %d", got)
+	for _, base := range []string{ts.URL, newPprofGateway(t, WithPprof(true))} {
+		if got := getStatus(t, base+PathPprof); got != http.StatusOK {
+			t.Errorf("pprof index with WithPprof(true): status %d", got)
+		}
+		if got := getStatus(t, base+PathPprof+"cmdline"); got != http.StatusOK {
+			t.Errorf("pprof cmdline with WithPprof(true): status %d", got)
+		}
 	}
 }
 
 func TestGSPServerPprofDefaultOff(t *testing.T) {
 	ts, _ := newGSPTestServer(t)
-	if got := getStatus(t, ts.URL+PathPprof); got != http.StatusNotFound {
-		t.Errorf("pprof index without opt-in: status %d, want 404", got)
+	for _, base := range []string{ts.URL, newPprofGateway(t)} {
+		if got := getStatus(t, base+PathPprof); got != http.StatusNotFound {
+			t.Errorf("pprof index without opt-in: status %d, want 404", got)
+		}
 	}
 }
 
 func TestLBSServerPprofOptIn(t *testing.T) {
 	city, _ := wireFixture(t)
 	ts := httptest.NewServer(NewLBSServer(city.M(),
-		WithLBSLogger(log.New(io.Discard, "", 0)),
-		WithLBSPprof(true)))
+		WithLogger(log.New(io.Discard, "", 0)),
+		WithPprof(true)))
 	t.Cleanup(ts.Close)
 	if got := getStatus(t, ts.URL+PathPprof); got != http.StatusOK {
-		t.Errorf("pprof index with WithLBSPprof(true): status %d", got)
+		t.Errorf("pprof index with WithPprof(true): status %d", got)
 	}
 
 	off := httptest.NewServer(NewLBSServer(city.M()))

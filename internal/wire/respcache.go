@@ -35,6 +35,7 @@ import (
 	"runtime"
 	"sync"
 
+	"poiagg/internal/hash64"
 	"poiagg/internal/obs"
 )
 
@@ -53,9 +54,9 @@ const DefaultEncodedCache = 4096
 // WithEncodedCache sets the encoded-response cache capacity in entries;
 // n <= 0 disables the cache and every response goes through the live
 // JSON encoder (the ablation baseline the differential test compares
-// against). Default DefaultEncodedCache.
-func WithEncodedCache(n int) GSPServerOption {
-	return gspOption(func(s *GSPServer) { s.encCap = n })
+// against). Default DefaultEncodedCache. Only the GSP server reads it.
+func WithEncodedCache(n int) ServerOption {
+	return func(st *serverSettings) { st.encCap = n }
 }
 
 // encKind tags which endpoint a cached encoding belongs to.
@@ -76,15 +77,9 @@ type encKey struct {
 // hash mixes the key through the splitmix64 finalizer (same construction
 // as the gsp freq cache) with the kind folded into the seed.
 func (k encKey) hash() uint64 {
-	h := encMix64(math.Float64bits(k.x) ^ (0x9e3779b97f4a7c15 + uint64(k.kind)))
-	h = encMix64(h ^ math.Float64bits(k.y))
-	return encMix64(h ^ math.Float64bits(k.r))
-}
-
-func encMix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	h := hash64.Mix(math.Float64bits(k.x) ^ (0x9e3779b97f4a7c15 + uint64(k.kind)))
+	h = hash64.Mix(h ^ math.Float64bits(k.y))
+	return hash64.Mix(h ^ math.Float64bits(k.r))
 }
 
 // encEntry is one cached encoding on its shard's second-chance queue.

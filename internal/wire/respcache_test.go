@@ -171,10 +171,10 @@ func TestEncodedFreqHitSkipsService(t *testing.T) {
 
 // BenchmarkFreqEncodedHit prices a hot /v1/freq hit with the encoded
 // cache replaying stored bytes against the live path that re-encodes the
-// vector every time.
+// vector every time, both through the full server chain.
 func BenchmarkFreqEncodedHit(b *testing.B) {
 	_, svc := wireFixture(b)
-	quiet := []GSPServerOption{WithLogger(log.New(io.Discard, "", 0)), WithInstrumentation(false)}
+	quiet := []ServerOption{WithLogger(log.New(io.Discard, "", 0))}
 	req := httptest.NewRequest(http.MethodGet, "/v1/freq?x=5000&y=5000&r=1000", nil)
 	for _, v := range []struct {
 		name string

@@ -42,7 +42,7 @@ type streamStackConfig struct {
 	maxPerUser int
 	ledgerDir  string // "" disables the budget ledger
 	seed       uint64
-	srvOpts    []LBSServerOption
+	srvOpts    []ServerOption
 }
 
 func newStreamStack(t testing.TB, cfg streamStackConfig) *streamStack {
@@ -84,7 +84,7 @@ func newStreamStack(t testing.TB, cfg streamStackConfig) *streamStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := append([]LBSServerOption{WithStream(st, rel)}, cfg.srvOpts...)
+	opts := append([]ServerOption{WithStream(st, rel)}, cfg.srvOpts...)
 	ts := httptest.NewServer(NewLBSServer(city.M(), opts...))
 	t.Cleanup(ts.Close)
 	return &streamStack{st: st, rel: rel, led: led, clock: clock, ts: ts}
@@ -110,7 +110,7 @@ func TestStreamReplayIdentityE2E(t *testing.T) {
 	live := newStreamStack(t, streamStackConfig{
 		ledgerDir: liveDir,
 		seed:      4242,
-		srvOpts:   []LBSServerOption{WithAuth(kr)},
+		srvOpts:   []ServerOption{WithAuth(kr)},
 	})
 	acme := NewLBSClient(live.ts.URL, live.ts.Client(), WithSigningKey("acme", testKey('A')))
 	globex := NewLBSClient(live.ts.URL, live.ts.Client(), WithSigningKey("globex", testKey('B')))
@@ -387,7 +387,7 @@ func TestIngestCrossTenantWindowIsolationE2E(t *testing.T) {
 	stk := newStreamStack(t, streamStackConfig{
 		ledgerDir: t.TempDir(),
 		seed:      13,
-		srvOpts:   []LBSServerOption{WithAuth(kr)},
+		srvOpts:   []ServerOption{WithAuth(kr)},
 	})
 	acme := NewLBSClient(stk.ts.URL, stk.ts.Client(), WithSigningKey("acme", testKey('A')))
 	globex := NewLBSClient(stk.ts.URL, stk.ts.Client(), WithSigningKey("globex", testKey('B')))
@@ -600,7 +600,7 @@ func TestIngestLineTooLong(t *testing.T) {
 // round-trips.
 func TestIngestBodyTooLargeRealServer(t *testing.T) {
 	stk := newStreamStack(t, streamStackConfig{seed: 3,
-		srvOpts: []LBSServerOption{WithMaxBody(1024)}})
+		srvOpts: []ServerOption{WithMaxBody(1024)}})
 	client := NewLBSClient(stk.ts.URL, stk.ts.Client())
 	evs := make([]stream.Event, 50)
 	for i := range evs {
@@ -625,7 +625,7 @@ func TestIngestBodyTooLargeRealServer(t *testing.T) {
 // OverloadedError. Nothing is buffered on behalf of the shed client.
 func TestIngestBackpressure503(t *testing.T) {
 	stk := newStreamStack(t, streamStackConfig{seed: 3,
-		srvOpts: []LBSServerOption{WithAdmission(1, 0, 0)}})
+		srvOpts: []ServerOption{WithAdmission(1, 0, 0)}})
 	ctx := context.Background()
 
 	// A chunked ingest that stays open: the handler blocks in the

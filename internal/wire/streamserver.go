@@ -60,12 +60,10 @@ type StreamReleasesResponse struct {
 // admission control sheds it with 503 + Retry-After under overload, and
 // with auth enabled events are only ever credited to the
 // signature-verified principal. The server does not tick rel; the
-// daemon (or test) drives it through its own clock.
-func WithStream(st *stream.Store, rel *stream.Releaser) LBSServerOption {
-	return lbsOption(func(s *LBSServer) {
-		s.streamStore = st
-		s.streamRel = rel
-	})
+// daemon (or test) drives it through its own clock. Only the LBS server
+// reads it.
+func WithStream(st *stream.Store, rel *stream.Releaser) ServerOption {
+	return func(o *serverSettings) { o.lbs.streamStore, o.lbs.streamRel = st, rel }
 }
 
 // ingestPrincipal resolves the budget principal for a whole ingest

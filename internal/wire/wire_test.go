@@ -42,7 +42,7 @@ func wireFixture(t testing.TB) (*citygen.City, *gsp.Service) {
 	return wireCity, wireSvc
 }
 
-func newGSPTestServer(t testing.TB, opts ...GSPServerOption) (*httptest.Server, *GSPClient) {
+func newGSPTestServer(t testing.TB, opts ...ServerOption) (*httptest.Server, *GSPClient) {
 	t.Helper()
 	_, svc := wireFixture(t)
 	opts = append(opts, WithLogger(log.New(io.Discard, "", 0)))
@@ -155,7 +155,19 @@ func TestGSPConcurrentClients(t *testing.T) {
 	}
 }
 
-func newLBSTestServer(t testing.TB, opts ...LBSServerOption) (*httptest.Server, *LBSClient) {
+// newGatewayTestServer serves a quiet cluster gateway over one shard.
+func newGatewayTestServer(t testing.TB, peer string, opts ...ServerOption) (*httptest.Server, *ClusterGateway) {
+	t.Helper()
+	gw, err := NewClusterGateway([]string{peer}, append(opts, WithLogger(discardLogger()))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw)
+	t.Cleanup(ts.Close)
+	return ts, gw
+}
+
+func newLBSTestServer(t testing.TB, opts ...ServerOption) (*httptest.Server, *LBSClient) {
 	t.Helper()
 	city, _ := wireFixture(t)
 	ts := httptest.NewServer(NewLBSServer(city.M(), opts...))
