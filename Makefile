@@ -3,8 +3,8 @@ GO ?= go
 # The ablation benchmarks pinned into BENCH_core.json, and the packages
 # that host them. bench-core regenerates the file; bench-diff reruns the
 # same set and fails on >20% ns/op regressions against the committed
-# baseline.
-BENCH_CORE_PATTERN = FreqCacheSharded|WireBatchVsSequential|SweepParallelVsSerial|IndexHistVsScan|RegionPruneParallel|GramParallel|LedgerSpendParallel|LedgerSnapshotReplay|FreqSingleflight|FreqEncodedHit|StoreWarmStart|StreamApply|WindowRelease
+# baseline. Both run each benchmark 5 times and keep the median.
+BENCH_CORE_PATTERN = FreqCacheSharded|WireBatchVsSequential|SweepParallelVsSerial|IndexHistVsScan|RegionPruneParallel|GramParallel|LedgerSpendParallel|LedgerSnapshotReplay|FreqSingleflight|FreqHotHit|StoreWarmStart|StreamApply|WindowRelease
 BENCH_CORE_PKGS = ./internal/gsp ./internal/wire ./internal/eval ./internal/index ./internal/attack ./internal/ml ./internal/budget ./internal/stream
 
 .PHONY: all check fmt-check build vet test race bench bench-test bench-core bench-diff fuzz-smoke e2e-cluster e2e-stream loadtest loadtest-cluster loadtest-churn loadtest-duphot loadtest-stream repro repro-full cover loc clean
@@ -50,15 +50,15 @@ bench-test:
 # for DESIGN.md §5.
 bench-core:
 	$(GO) test -run '^$$' -bench '$(BENCH_CORE_PATTERN)' \
-		-benchmem -benchtime=1s -count=1 $(BENCH_CORE_PKGS) \
+		-benchmem -benchtime=1s -count=5 $(BENCH_CORE_PKGS) \
 		| $(GO) run ./cmd/benchjson -out BENCH_core.json
 
 # bench-diff reruns the core ablations and compares against the committed
 # BENCH_core.json without rewriting it; exits nonzero when any shared
-# benchmark regressed by more than 20% ns/op.
+# benchmark's median regressed by more than 20% ns/op.
 bench-diff:
 	$(GO) test -run '^$$' -bench '$(BENCH_CORE_PATTERN)' \
-		-benchmem -benchtime=1s -count=1 $(BENCH_CORE_PKGS) \
+		-benchmem -benchtime=1s -count=5 $(BENCH_CORE_PKGS) \
 		| $(GO) run ./cmd/benchjson -prev BENCH_core.json
 
 # fuzz-smoke runs the auth fuzz targets briefly (the corpus seeds already

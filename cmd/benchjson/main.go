@@ -5,10 +5,12 @@
 // sweeps, histogram index, parallel Gram) to machine-readable numbers in
 // BENCH_core.json.
 //
+// Repeats of a benchmark (go test -count=N) fold into their median ns/op.
+//
 // With -prev it additionally diffs the fresh run against a committed
 // baseline document and exits nonzero when any shared benchmark regressed
 // by more than -max-regress in ns/op — the `make bench-diff` regression
-// gate.
+// gate. Names match without go test's -<GOMAXPROCS> suffix.
 //
 // Usage:
 //
@@ -23,11 +25,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Result is one parsed benchmark line.
+// Result is one benchmark: its first run, with NsPerOp the median over
+// all its runs.
 type Result struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
@@ -67,13 +72,22 @@ func run(args []string, in io.Reader, tee io.Writer) error {
 	})
 
 	var doc Document
+	index := make(map[string]int)
+	var ns [][]float64 // ns/op of every run, by result index
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Fprintln(tee, line)
 		if res, ok := parseBenchLine(line); ok {
-			doc.Results = append(doc.Results, res)
+			i, seen := index[res.Name]
+			if !seen {
+				i = len(doc.Results)
+				index[res.Name] = i
+				doc.Results = append(doc.Results, res)
+				ns = append(ns, nil)
+			}
+			ns[i] = append(ns[i], res.NsPerOp)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -81,6 +95,10 @@ func run(args []string, in io.Reader, tee io.Writer) error {
 	}
 	if len(doc.Results) == 0 {
 		return fmt.Errorf("no benchmark lines on stdin")
+	}
+	for i, v := range ns {
+		slices.Sort(v)
+		doc.Results[i].NsPerOp = (v[(len(v)-1)/2] + v[len(v)/2]) / 2
 	}
 
 	if *prev == "" || outSet {
@@ -115,19 +133,19 @@ func diffAgainst(path string, cur Document, maxRegress float64, tee io.Writer) e
 	}
 	baseByName := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
-		baseByName[r.Name] = r
+		baseByName[withoutProcs(r.Name)] = r
 	}
 
 	var regressed []string
 	matched := 0
 	for _, r := range cur.Results {
-		b, ok := baseByName[r.Name]
+		b, ok := baseByName[withoutProcs(r.Name)]
 		if !ok {
 			fmt.Fprintf(tee, "benchjson: %-60s new (no baseline)\n", r.Name)
 			continue
 		}
 		matched++
-		delete(baseByName, r.Name)
+		delete(baseByName, withoutProcs(r.Name))
 		if b.NsPerOp <= 0 {
 			fmt.Fprintf(tee, "benchjson: %-60s baseline ns/op is 0, skipped\n", r.Name)
 			continue
@@ -154,6 +172,11 @@ func diffAgainst(path string, cur Document, maxRegress float64, tee io.Writer) e
 	fmt.Fprintf(tee, "benchjson: %d benchmark(s) within %.0f%% of %s\n", matched, maxRegress*100, path)
 	return nil
 }
+
+// procsSuffix is the -<GOMAXPROCS> suffix go test adds unless it is 1.
+var procsSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+func withoutProcs(name string) string { return procsSuffix.ReplaceAllString(name, "") }
 
 // parseBenchLine parses one `go test -bench` result line, e.g.
 //

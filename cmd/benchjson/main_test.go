@@ -146,3 +146,62 @@ func TestRunNoInput(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 }
+
+// TestRunPrevIgnoresProcsSuffix matches a baseline recorded at
+// GOMAXPROCS=1, whose names carry no -N suffix, against a run at 8.
+func TestRunPrevIgnoresProcsSuffix(t *testing.T) {
+	doc := Document{Results: []Result{
+		{Name: "BenchmarkFreqCacheSharded/sharded", Iterations: 1, NsPerOp: 600},
+		{Name: "BenchmarkFreqCacheSharded/locked", Iterations: 1, NsPerOp: 1300},
+	}}
+	raw, _ := json.Marshal(doc)
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var tee strings.Builder
+	if err := run([]string{"-prev", path}, strings.NewReader(sampleBench), &tee); err != nil {
+		t.Fatalf("suffixed run did not match the baseline: %v\n%s", err, tee.String())
+	}
+	if !strings.Contains(tee.String(), "2 benchmark(s) within 20%") {
+		t.Errorf("missing summary line in:\n%s", tee.String())
+	}
+}
+
+// TestRunFoldsRepeats folds -count repeats into one result at their
+// median, and diffs that median, not each repeat, against the baseline.
+func TestRunFoldsRepeats(t *testing.T) {
+	in := `BenchmarkFreqCacheSharded/sharded-2   100   900.0 ns/op   216 B/op   3 allocs/op
+BenchmarkFreqCacheSharded/locked-2    100  1200.0 ns/op   216 B/op   3 allocs/op
+BenchmarkFreqCacheSharded/sharded-2   200   500.0 ns/op   216 B/op   3 allocs/op
+BenchmarkFreqCacheSharded/sharded-2   300   510.0 ns/op   216 B/op   3 allocs/op
+`
+	out := filepath.Join(t.TempDir(), "bench.json")
+	if err := run([]string{"-out", out}, strings.NewReader(in), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc Document
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Results) != 2 {
+		t.Fatalf("results %+v, want one per benchmark", doc.Results)
+	}
+	if r := doc.Results[0]; r.Name != "BenchmarkFreqCacheSharded/sharded-2" || r.NsPerOp != 510 {
+		t.Errorf("folded sharded = %+v, want the 510 ns/op median of 3 runs", r)
+	}
+
+	// The 900 ns/op outlier is 50% over this baseline; the median is not.
+	base := writeBaseline(t, 600, 1300)
+	var tee strings.Builder
+	if err := run([]string{"-prev", base}, strings.NewReader(in), &tee); err != nil {
+		t.Fatalf("median within tolerance failed the gate: %v\n%s", err, tee.String())
+	}
+	if strings.Contains(tee.String(), "new (no baseline)") {
+		t.Errorf("a repeat was reported as a new benchmark:\n%s", tee.String())
+	}
+}

@@ -176,9 +176,10 @@ type ChurnStats struct {
 	Joiner string `json:"joiner"`
 	// PrewarmedCells counts the cells the gateway replayed into the
 	// joiner before routing to it (cluster.warm.cells).
-	PrewarmedCells uint64 `json:"prewarmedCells"`
-	Joins          uint64 `json:"joins"`
-	Leaves         uint64 `json:"leaves"`
+	PrewarmedCells uint64  `json:"prewarmedCells"`
+	Joins          uint64  `json:"joins"`
+	Leaves         uint64  `json:"leaves"`
+	JoinMs         float64 `json:"joinMs"` // admit latency, pre-warm included
 	// Phases reports the freq target per transition window: steady
 	// (full fleet), departed (victim gone), rejoined (cold shard in).
 	Phases []ChurnPhase `json:"phases"`
@@ -191,11 +192,10 @@ type ChurnPhase struct {
 	OK              uint64              `json:"ok"`
 	TransportErrors uint64              `json:"transportErrors"`
 	Latency         obs.LatencySnapshot `json:"latency"`
-	// HitRate is the fleet-wide effective cache hit fraction during
-	// this phase: requests answered by a shard's encoded-response cache
-	// or its freq cache, over all freq requests (0 when the phase saw
-	// no cache traffic). The departed→rejoined dip is the cost of
-	// rebalancing; pre-warm is what keeps the rejoined rate up.
+	// HitRate is the fleet-wide freq-cache hit fraction during this
+	// phase (0 when the phase saw no cache traffic). The
+	// departed→rejoined dip is the cost of rebalancing; pre-warm is what
+	// keeps the rejoined rate up.
 	HitRate float64 `json:"hitRate"`
 }
 
@@ -282,7 +282,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.Float64Var(&cfg.radius, "radius", 900, "query radius in meters")
 	fs.StringVar(&cfg.city, "city", "beijing", "city preset (must match the daemons': beijing or nyc)")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "city generation seed (must match the daemons')")
-	fs.StringVar(&cfg.profile, "profile", "uniform", "load profile: uniform; dup-hot (zipf-skewed hot keys whose radius rotates every -dup-epoch, so each rotation is a stampede of concurrent misses on the same keys); stream (ingest target only: the user cohort rotates every -stream-burst, flooding the window store with fresh users); membership-churn (-cluster >= 2 with the freq target: retire a shard at T/3 and admit a pre-warmed cold one at 2T/3, reporting per-phase latency and hit rate)")
+	fs.StringVar(&cfg.profile, "profile", "uniform", "load profile: uniform; dup-hot (zipf-skewed hot keys whose radius rotates every -dup-epoch, so each rotation is a stampede of concurrent misses on the same keys); stream (ingest target only: the user cohort rotates every -stream-burst, flooding the window store with fresh users); membership-churn (-cluster >= 2 with the freq target: retire a shard at T/3, admit a pre-warmed cold one at 2T/3 and serve T/3 past the join, reporting per-phase latency, hit rate and the join's latency)")
 	fs.Float64Var(&cfg.zipfS, "zipf-s", 1.1, "dup-hot profile: zipf exponent (higher = more skew)")
 	fs.DurationVar(&cfg.dupEpoch, "dup-epoch", 500*time.Millisecond, "dup-hot profile: radius rotation period")
 	fs.IntVar(&cfg.streamUsers, "stream-users", 256, "ingest target: synthetic users per cohort (also sizes the in-process window store)")
@@ -453,19 +453,10 @@ var churnPhaseNames = [3]string{"steady", "departed", "rejoined"}
 // service at a phase boundary; phase hit rates are deltas between marks.
 type cacheMark struct{ hits, misses uint64 }
 
-// churnShard pairs a shard's HTTP server with its service: a freq
-// request is a "hit" when either tier answers it — the encoded-response
-// cache in front, or the service's freq cache behind it. Both are what
-// a cold joiner lacks and what the gateway's pre-warm fills.
-type churnShard struct {
-	srv *wire.GSPServer
-	svc *gsp.Service
-}
-
 // churnRun carries the membership-churn profile's moving parts: which
 // phase the run is in (workers attribute freq outcomes to it), the
-// per-shard cache tiers to sum counters over, and the handles the
-// controller needs to kill the victim and stop the joiner afterwards.
+// per-shard services whose freq-cache counters it sums, and the handles
+// the controller needs to kill the victim and stop the joiner afterwards.
 type churnRun struct {
 	victim     string
 	joiner     string
@@ -474,13 +465,14 @@ type churnRun struct {
 	phase      atomic.Int32
 	phases     [3]*targetStats
 	marks      [4]cacheMark
+	join       time.Duration // how long the admit call took
 
 	mu     sync.Mutex
-	shards []churnShard
+	shards []*gsp.Service
 	err    error
 }
 
-func newChurnRun(victim string, killVictim func(), shards []churnShard) *churnRun {
+func newChurnRun(victim string, killVictim func(), shards []*gsp.Service) *churnRun {
 	c := &churnRun{victim: victim, killVictim: killVictim, shards: shards, stopJoiner: func() {}}
 	for i := range c.phases {
 		c.phases[i] = &targetStats{}
@@ -493,25 +485,23 @@ func (c *churnRun) record(d time.Duration, err error) {
 	c.phases[c.phase.Load()].record(d, err)
 }
 
-func (c *churnRun) addShard(s churnShard) {
+func (c *churnRun) addShard(s *gsp.Service) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.shards = append(c.shards, s)
 }
 
-// sumCache sums effective hit/miss counters across every shard,
+// sumCache sums the freq-cache hit/miss counters across every shard,
 // retired ones included (their counters freeze, so deltas stay
-// correct). Hits are encoded-cache hits plus service freq-cache hits;
-// misses are the requests that fell through both tiers to a real
-// CountTypes computation.
+// correct). A miss is a request that reached a real CountTypes
+// computation: what a cold joiner pays and the gateway's pre-warm saves.
 func (c *churnRun) sumCache() cacheMark {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var m cacheMark
 	for _, s := range c.shards {
-		em := s.srv.EncodedCacheMetrics()
-		h, mi := s.svc.CacheStats()
-		m.hits += em.Hits + h
+		h, mi := s.CacheStats()
+		m.hits += h
 		m.misses += mi
 	}
 	return m
@@ -604,7 +594,7 @@ func run(args []string, stdout io.Writer) error {
 	var streamStore *stream.Store
 	var streamRel *stream.Releaser
 	var churn *churnRun
-	var churnNewShard func() (string, churnShard)
+	var churnNewShard func() (string, *gsp.Service)
 	var clusterReg *obs.Registry
 	if cfg.inprocess {
 		if cfg.computeCost > 0 {
@@ -682,16 +672,15 @@ func run(args []string, stdout io.Writer) error {
 				return s
 			}
 			peers := make([]string, cfg.shards)
-			shards := make([]churnShard, cfg.shards)
+			shards := make([]*gsp.Service, cfg.shards)
 			closers := make([]func(), cfg.shards)
 			for i := range peers {
 				shardSvc := svc
 				if churnMode {
 					shardSvc = newShardSvc()
 				}
-				shardSrv := wire.NewGSPServer(shardSvc, serverOpts...)
-				shards[i] = churnShard{srv: shardSrv, svc: shardSvc}
-				shardTS := httptest.NewServer(shardSrv)
+				shards[i] = shardSvc
+				shardTS := httptest.NewServer(wire.NewGSPServer(shardSvc, serverOpts...))
 				defer shardTS.Close()
 				peers[i] = shardTS.URL
 				closers[i] = shardTS.Close
@@ -713,13 +702,12 @@ func run(args []string, stdout io.Writer) error {
 				if signKey != nil {
 					gwOpts = append(gwOpts, wire.WithClusterAdmin(signPrincipal))
 				}
-				churn = newChurnRun(peers[0], closers[0], append([]churnShard(nil), shards...))
-				churnNewShard = func() (string, churnShard) {
+				churn = newChurnRun(peers[0], closers[0], append([]*gsp.Service(nil), shards...))
+				churnNewShard = func() (string, *gsp.Service) {
 					s := newShardSvc()
-					srv := wire.NewGSPServer(s, serverOpts...)
-					ts := httptest.NewServer(srv)
+					ts := httptest.NewServer(wire.NewGSPServer(s, serverOpts...))
 					churn.stopJoiner = ts.Close
-					return ts.URL, churnShard{srv: srv, svc: s}
+					return ts.URL, s
 				}
 				// Per-shard services own the cache counters now; the churn
 				// block reports them per phase instead of a GSP block.
@@ -873,10 +861,19 @@ func run(args []string, stdout io.Writer) error {
 	if streamRel != nil {
 		stopStream = streamRel.Start(nil)
 	}
-	// The churn controller walks the run through its three phases on
-	// wall-clock thirds: retire the victim through the admin API (then
-	// kill its server), and later admit a brand-new cold shard, which
-	// the gateway pre-warms before routing to it.
+	// Traffic runs for -duration, or until the churn controller ends it:
+	// retire the victim through the admin API at T/3 (then kill its
+	// server), admit a brand-new cold shard, which the gateway pre-warms,
+	// at 2T/3, and serve T/3 more once the join returns. Admin calls have
+	// their own -timeout deadline: a slow join lengthens the run.
+	var traffic context.Context
+	var endTraffic context.CancelFunc
+	if churn == nil {
+		traffic, endTraffic = context.WithTimeout(context.Background(), cfg.duration)
+	} else {
+		traffic, endTraffic = context.WithCancel(context.Background())
+	}
+	defer endTraffic()
 	churnDone := make(chan struct{})
 	if churn == nil {
 		close(churnDone)
@@ -884,12 +881,14 @@ func run(args []string, stdout io.Writer) error {
 		churn.marks[0] = churn.sumCache()
 		go func() {
 			defer close(churnDone)
+			defer endTraffic()
 			third := cfg.duration / 3
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.duration)
-			defer cancel()
 			time.Sleep(third)
 			churn.marks[1] = churn.sumCache()
-			if _, err := gspClient.ClusterLeave(ctx, churn.victim); err != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
+			_, err := gspClient.ClusterLeave(ctx, churn.victim)
+			cancel()
+			if err != nil {
 				churn.fail(fmt.Errorf("churn: retire %s: %w", churn.victim, err))
 				return
 			}
@@ -901,7 +900,12 @@ func run(args []string, stdout io.Writer) error {
 			time.Sleep(third)
 			churn.marks[2] = churn.sumCache()
 			joinURL, joinShard := churnNewShard()
-			if _, err := gspClient.ClusterJoin(ctx, joinURL); err != nil {
+			ctx, cancel = context.WithTimeout(context.Background(), cfg.timeout)
+			start := time.Now()
+			_, err = gspClient.ClusterJoin(ctx, joinURL)
+			churn.join = time.Since(start)
+			cancel()
+			if err != nil {
 				churn.fail(fmt.Errorf("churn: admit %s: %w", joinURL, err))
 				return
 			}
@@ -909,15 +913,16 @@ func run(args []string, stdout io.Writer) error {
 			churn.addShard(joinShard)
 			churn.phase.Store(2)
 			if !cfg.quiet {
-				fmt.Fprintf(os.Stderr, "loadgen: churn: admitted cold shard %s\n", joinURL)
+				fmt.Fprintf(os.Stderr, "loadgen: churn: admitted cold shard %s in %v\n", joinURL, churn.join)
 			}
+			time.Sleep(third)
 		}()
 	}
 	wallStart := time.Now()
 	if cfg.rate > 0 {
-		runOpenLoop(cfg, doOne)
+		runOpenLoop(traffic, cfg, doOne)
 	} else {
-		runClosedLoop(cfg, doOne)
+		runClosedLoop(traffic, cfg, doOne)
 	}
 	wall := time.Since(wallStart)
 	stopStream() // final flush, so Releases counts the drained window too
@@ -956,6 +961,7 @@ func run(args []string, stdout io.Writer) error {
 			PrewarmedCells: snap.Counters[wire.MetricClusterWarmCells],
 			Joins:          snap.Counters[wire.MetricClusterJoins],
 			Leaves:         snap.Counters[wire.MetricClusterLeaves],
+			JoinMs:         float64(churn.join) / float64(time.Millisecond),
 		}
 		for i, name := range churnPhaseNames {
 			ps := churn.phases[i]
@@ -1033,16 +1039,15 @@ func hasTarget(targets []string, tgt string) bool {
 	return false
 }
 
-// runClosedLoop keeps cfg.conc workers saturated until the deadline.
-func runClosedLoop(cfg *config, doOne func(workerID, seq int, rng *rand.Rand)) {
-	deadline := time.Now().Add(cfg.duration)
+// runClosedLoop keeps cfg.conc workers saturated until ctx ends.
+func runClosedLoop(ctx context.Context, cfg *config, doOne func(workerID, seq int, rng *rand.Rand)) {
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.conc; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(cfg.seed, uint64(id)))
-			for seq := id; time.Now().Before(deadline); seq++ {
+			for seq := id; ctx.Err() == nil; seq++ {
 				doOne(id, seq, rng)
 			}
 		}(w)
@@ -1050,11 +1055,11 @@ func runClosedLoop(cfg *config, doOne func(workerID, seq int, rng *rand.Rand)) {
 	wg.Wait()
 }
 
-// runOpenLoop starts requests on a fixed schedule, independent of
-// completions — up to cfg.conc may be in flight; arrivals beyond that
-// are dropped on the floor and counted nowhere, mirroring a client
-// population that stops listening when the service lags.
-func runOpenLoop(cfg *config, doOne func(workerID, seq int, rng *rand.Rand)) {
+// runOpenLoop starts requests on a fixed schedule until ctx ends —
+// up to cfg.conc may be in flight; arrivals beyond that are dropped on
+// the floor and counted nowhere, mirroring a client population that
+// stops listening when the service lags.
+func runOpenLoop(ctx context.Context, cfg *config, doOne func(workerID, seq int, rng *rand.Rand)) {
 	interval := time.Duration(float64(time.Second) / cfg.rate)
 	if interval <= 0 {
 		interval = time.Microsecond
@@ -1065,12 +1070,11 @@ func runOpenLoop(cfg *config, doOne func(workerID, seq int, rng *rand.Rand)) {
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	stop := time.After(cfg.duration)
 	var wg sync.WaitGroup
 	seq := 0
 	for {
 		select {
-		case <-stop:
+		case <-ctx.Done():
 			wg.Wait()
 			return
 		case <-tick.C:

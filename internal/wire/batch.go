@@ -144,9 +144,6 @@ func (s *GSPServer) handleFreqBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	if s.enc != nil && s.freqBatchEncoded(w, items) {
-		return
-	}
 	results := make([]FreqBatchResult, len(items))
 	reqs, idx := s.splitBatch(items, func(i int, err error) {
 		results[i].Error = err.Error()
@@ -154,47 +151,28 @@ func (s *GSPServer) handleFreqBatch(w http.ResponseWriter, r *http.Request) {
 	for j, f := range s.svc.FreqBatch(reqs) {
 		results[idx[j]].Freq = f
 	}
-	writeJSON(w, http.StatusOK, FreqBatchResponse{Results: results})
+	writeRaw(w, http.StatusOK, freqBatchJSON(results))
 }
 
-// freqBatchEncoded answers the batch from pre-encoded per-item segments:
-// cached items skip both the service and the JSON encoder, fresh items
-// are computed in one FreqBatch fan-out and their segments cached for
-// the next request. Error segments are marshaled uncached — they carry
-// request-specific text and are never hot. Returns false (nothing
-// written) if a segment fails to marshal so the caller falls back to the
-// live encoder.
-func (s *GSPServer) freqBatchEncoded(w http.ResponseWriter, items []BatchItem) bool {
-	segs := make([][]byte, len(items))
-	var reqs []gsp.BatchQuery
-	var idx []int
-	for i, it := range items {
-		if err := s.validateItem(it); err != nil {
-			seg, merr := json.Marshal(FreqBatchResult{Error: err.Error()})
-			if merr != nil {
-				return false
-			}
-			segs[i] = seg
+// freqBatchJSON returns writeJSON's body for FreqBatchResponse{results}.
+// Items appendFreqJSON does not cover, errors and the empty vector that
+// omitempty drops, go through json.Marshal.
+func freqBatchJSON(results []FreqBatchResult) []byte {
+	b := []byte(`{"results":[`)
+	for i, res := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if res.Error != "" || len(res.Freq) == 0 {
+			// A struct of a string and an int slice always marshals.
+			seg, _ := json.Marshal(res)
+			b = append(b, seg...)
 			continue
 		}
-		if seg, ok := s.enc.get(encKey{kind: encFreqItem, x: it.X, y: it.Y, r: it.R}); ok {
-			segs[i] = seg
-			continue
-		}
-		reqs = append(reqs, gsp.BatchQuery{L: geo.Point{X: it.X, Y: it.Y}, R: it.R})
-		idx = append(idx, i)
+		b = append(b, `{"freq":`...)
+		b = append(appendFreqJSON(b, res.Freq), '}')
 	}
-	for j, f := range s.svc.FreqBatch(reqs) {
-		i := idx[j]
-		seg, err := json.Marshal(FreqBatchResult{Freq: f})
-		if err != nil {
-			return false
-		}
-		s.enc.put(encKey{kind: encFreqItem, x: items[i].X, y: items[i].Y, r: items[i].R}, seg)
-		segs[i] = seg
-	}
-	writeSegments(w, segs)
-	return true
+	return append(b, "]}\n"...)
 }
 
 func (s *GSPServer) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
@@ -207,9 +185,6 @@ func (s *GSPServer) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	if s.enc != nil && s.queryBatchEncoded(w, items) {
-		return
-	}
 	results := make([]QueryBatchResult, len(items))
 	reqs, idx := s.splitBatch(items, func(i int, err error) {
 		results[i].Error = err.Error()
@@ -218,40 +193,6 @@ func (s *GSPServer) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		results[idx[j]].POIs = ps
 	}
 	writeJSON(w, http.StatusOK, QueryBatchResponse{Results: results})
-}
-
-// queryBatchEncoded is freqBatchEncoded for the query endpoint.
-func (s *GSPServer) queryBatchEncoded(w http.ResponseWriter, items []BatchItem) bool {
-	segs := make([][]byte, len(items))
-	var reqs []gsp.BatchQuery
-	var idx []int
-	for i, it := range items {
-		if err := s.validateItem(it); err != nil {
-			seg, merr := json.Marshal(QueryBatchResult{Error: err.Error()})
-			if merr != nil {
-				return false
-			}
-			segs[i] = seg
-			continue
-		}
-		if seg, ok := s.enc.get(encKey{kind: encQueryItem, x: it.X, y: it.Y, r: it.R}); ok {
-			segs[i] = seg
-			continue
-		}
-		reqs = append(reqs, gsp.BatchQuery{L: geo.Point{X: it.X, Y: it.Y}, R: it.R})
-		idx = append(idx, i)
-	}
-	for j, ps := range s.svc.QueryBatch(reqs) {
-		i := idx[j]
-		seg, err := json.Marshal(QueryBatchResult{POIs: ps})
-		if err != nil {
-			return false
-		}
-		s.enc.put(encKey{kind: encQueryItem, x: items[i].X, y: items[i].Y, r: items[i].R}, seg)
-		segs[i] = seg
-	}
-	writeSegments(w, segs)
-	return true
 }
 
 // FreqBatch posts a batch of Freq probes in one round trip. Results are

@@ -38,9 +38,8 @@ type serverSettings struct {
 	maxRadius float64
 	maxBatch  int
 
-	encCap int // GSP server only
-	lbs    lbsSettings
-	gw     gatewaySettings
+	lbs lbsSettings
+	gw  gatewaySettings
 }
 
 // newSettings applies opts over the defaults. defaultLog is the request
@@ -52,7 +51,6 @@ func newSettings(defaultLog *log.Logger, opts []ServerOption) *serverSettings {
 		maxBody:   DefaultMaxBody,
 		maxRadius: 10_000,
 		maxBatch:  DefaultMaxBatch,
-		encCap:    DefaultEncodedCache,
 		lbs: lbsSettings{
 			historyLimit: 1000,
 			historyUsers: DefaultHistoryUsers,

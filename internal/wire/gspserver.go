@@ -10,6 +10,7 @@ import (
 
 	"poiagg/internal/geo"
 	"poiagg/internal/gsp"
+	"poiagg/internal/poi"
 )
 
 // GSPServer serves the geo-information provider's query interface over
@@ -23,21 +24,16 @@ type GSPServer struct {
 	maxRadius float64
 	// maxBatch bounds items per batch request.
 	maxBatch int
-	enc      *encCache // nil when the encoded cache is disabled
 }
 
 var _ http.Handler = (*GSPServer)(nil)
 
 // NewGSPServer wraps a GSP service as an HTTP handler. It reads the
-// core options, WithMaxRadius, WithMaxBatch and WithEncodedCache.
+// core options, WithMaxRadius and WithMaxBatch.
 func NewGSPServer(svc *gsp.Service, opts ...ServerOption) *GSPServer {
 	st := newSettings(log.Default(), opts)
 	s := &GSPServer{svc: svc, maxRadius: st.maxRadius, maxBatch: st.maxBatch}
 	s.initCore(st, nil, PathFreqBatch, PathQueryBatch)
-	if st.encCap > 0 {
-		s.enc = newEncCache(st.encCap)
-		s.enc.export(s.reg)
-	}
 	s.mux.HandleFunc("GET "+PathStats, s.handleStats)
 	s.mux.HandleFunc("GET "+PathQuery, s.handleQuery)
 	s.mux.HandleFunc("GET "+PathFreq, s.handleFreq)
@@ -113,19 +109,26 @@ func (s *GSPServer) handleFreq(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.enc != nil {
-		k := encKey{kind: encFreq, x: l.X, y: l.Y, r: radius}
-		if body, ok := s.enc.get(k); ok {
-			writeRaw(w, http.StatusOK, body)
-			return
+	f := s.svc.Freq(l, radius)
+	// Room for three digits and a comma per count.
+	b := append(make([]byte, 0, 16+4*len(f)), `{"freq":`...)
+	b = appendFreqJSON(b, f)
+	writeRaw(w, http.StatusOK, append(b, "}\n"...))
+}
+
+// appendFreqJSON appends the bytes json.Marshal gives a non-nil f,
+// without reflection. The freq endpoints write their bodies with it, and
+// those must stay byte-identical to writeJSON of the typed response: a
+// gateway re-encodes every shard reply with encoding/json.
+func appendFreqJSON(b []byte, f poi.FreqVector) []byte {
+	b = append(b, '[')
+	for i, n := range f {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		if body, err := encodeJSON(FreqResponse{Freq: s.svc.Freq(l, radius)}); err == nil {
-			s.enc.put(k, body)
-			writeRaw(w, http.StatusOK, body)
-			return
-		}
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	writeJSON(w, http.StatusOK, FreqResponse{Freq: s.svc.Freq(l, radius)})
+	return append(b, ']')
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -135,6 +138,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		// Headers are already out; nothing more to do than note it.
 		log.Printf("wire: encode response: %v", err)
 	}
+}
+
+// writeRaw sends a JSON body, ending in a newline as writeJSON's do.
+func writeRaw(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// A failed write means the client went away; nothing is left to send.
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
