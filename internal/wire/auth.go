@@ -659,8 +659,7 @@ func (a *authenticator) middleware(next http.Handler, maxBody int64) http.Handle
 			body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 			if err != nil {
 				if isMaxBytes(err) {
-					writeError(w, http.StatusRequestEntityTooLarge,
-						fmt.Sprintf("request body exceeds %d bytes", maxBody))
+					writeBodyTooLarge(w, maxBody)
 					return
 				}
 				writeError(w, http.StatusBadRequest, "unreadable request body")

@@ -81,8 +81,7 @@ func decodeBatchRequest(w http.ResponseWriter, r *http.Request, maxBody int64, m
 	var req BatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
 		if isMaxBytes(err) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxBody))
+			writeBodyTooLarge(w, maxBody)
 			return nil, false
 		}
 		writeError(w, http.StatusBadRequest, "malformed batch request")
@@ -200,32 +199,31 @@ func (s *GSPServer) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 // vector. Envelope rejections (empty, oversized, malformed) surface as
 // an error wrapping ErrBadRequest.
 func (c *GSPClient) FreqBatch(ctx context.Context, items []BatchItem) ([]FreqBatchResult, error) {
-	body, err := json.Marshal(BatchRequest{Items: items})
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal batch: %w", err)
-	}
-	var out FreqBatchResponse
-	if err := c.core.do(ctx, http.MethodPost, PathFreqBatch, nil, body, &out); err != nil {
-		return nil, err
-	}
-	if len(out.Results) != len(items) {
-		return nil, fmt.Errorf("wire: %s: %d results for %d items", PathFreqBatch, len(out.Results), len(items))
-	}
-	return out.Results, nil
+	return postBatch[FreqBatchResult](ctx, c, PathFreqBatch, items)
 }
 
 // QueryBatch posts a batch of Query probes in one round trip.
 func (c *GSPClient) QueryBatch(ctx context.Context, items []BatchItem) ([]QueryBatchResult, error) {
+	return postBatch[QueryBatchResult](ctx, c, PathQueryBatch, items)
+}
+
+// postBatch posts items to the batch endpoint at path and returns the
+// reply's results, which must be one per item. The cluster gateway
+// relays with R = json.RawMessage: each result is checked to be JSON
+// but not decoded.
+func postBatch[R any](ctx context.Context, c *GSPClient, path string, items []BatchItem) ([]R, error) {
 	body, err := json.Marshal(BatchRequest{Items: items})
 	if err != nil {
 		return nil, fmt.Errorf("wire: marshal batch: %w", err)
 	}
-	var out QueryBatchResponse
-	if err := c.core.do(ctx, http.MethodPost, PathQueryBatch, nil, body, &out); err != nil {
+	var out struct {
+		Results []R `json:"results"`
+	}
+	if err := c.core.do(ctx, http.MethodPost, path, nil, body, &out); err != nil {
 		return nil, err
 	}
 	if len(out.Results) != len(items) {
-		return nil, fmt.Errorf("wire: %s: %d results for %d items", PathQueryBatch, len(out.Results), len(items))
+		return nil, fmt.Errorf("wire: %s: %d results for %d items", path, len(out.Results), len(items))
 	}
 	return out.Results, nil
 }

@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +18,6 @@ import (
 	"poiagg/internal/cluster"
 	"poiagg/internal/geo"
 	"poiagg/internal/obs"
-	"poiagg/internal/poi"
 )
 
 // Cluster metric names exported on the gateway's registry. Per-shard
@@ -173,10 +174,11 @@ func (t *peerTable) remove(url string) (*clusterPeer, bool) {
 // concurrently through the hardened wire client, and merged preserving
 // input order with per-item errors. A fleet behind the gateway is
 // bit-identical to one gspd over the same city — proven by the
-// differential cluster e2e — because every shard holds the full city
-// and the gateway reuses the server's own validators and response
-// types. Sharding buys capacity: each shard's freq cache holds only its
-// ~1/N slice of the cell keyspace.
+// differential cluster e2e — because every shard holds the full city,
+// the gateway runs the server's own validators, and it relays the
+// shards' response bytes rather than decoding and re-encoding them.
+// Sharding buys capacity: each shard's freq cache holds only its ~1/N
+// slice of the cell keyspace.
 //
 // Shard death is handled twice over: a refused connection evicts the
 // peer from the ring mid-request (single queries fail over to the next
@@ -394,12 +396,11 @@ func NewClusterGateway(peers []string, opts ...ServerOption) (*ClusterGateway, e
 	}
 	g.exportMetrics()
 
-	g.mux.HandleFunc("GET "+PathStats, g.handleStats)
-	g.mux.HandleFunc("GET "+PathPOIs, g.handlePOIs)
-	g.mux.HandleFunc("GET "+PathQuery, g.handleQuery)
-	g.mux.HandleFunc("GET "+PathFreq, g.handleFreq)
-	g.mux.HandleFunc("POST "+PathFreqBatch, g.handleFreqBatch)
-	g.mux.HandleFunc("POST "+PathQueryBatch, g.handleQueryBatch)
+	for _, path := range []string{PathStats, PathPOIs, PathFreq, PathQuery} {
+		g.mux.HandleFunc("GET "+path, g.handleGet)
+	}
+	g.mux.HandleFunc("POST "+PathFreqBatch, g.handleBatch)
+	g.mux.HandleFunc("POST "+PathQueryBatch, g.handleBatch)
 	g.mux.HandleFunc("GET "+PathClusterPeers, g.handlePeersList)
 	g.mux.HandleFunc("POST "+PathClusterPeers, g.handlePeerJoin)
 	g.mux.HandleFunc("DELETE "+PathClusterPeers+"/{url}", g.handlePeerLeave)
@@ -598,11 +599,20 @@ func (g *ClusterGateway) replicaPeers(key uint64) []*clusterPeer {
 	return out
 }
 
-// shardCall is one endpoint's call against one shard, returning the
-// decoded response value. Each replica gets its own invocation, so
-// implementations must not write shared state — the winner's return
-// value is the only thing committed.
-type shardCall func(ctx context.Context, p *clusterPeer) (any, error)
+// get sends one GET to the shard through its hardened client and
+// returns the 2xx body, checked to be a single JSON value but not
+// decoded further.
+func (p *clusterPeer) get(ctx context.Context, path string, params url.Values) (json.RawMessage, error) {
+	var body json.RawMessage
+	err := p.client.core.do(ctx, http.MethodGet, path, params, nil, &body)
+	return body, err
+}
+
+// shardCall is one request against one shard, returning the shard's
+// 2xx body. Each replica gets its own invocation, so implementations
+// must not write shared state — the winner's body is the only thing
+// committed.
+type shardCall func(ctx context.Context, p *clusterPeer) (json.RawMessage, error)
 
 // callReplicated runs call against the key's replica set first-wins,
 // failing over across rounds: when a whole replica set turns out
@@ -610,7 +620,7 @@ type shardCall func(ctx context.Context, p *clusterPeer) (any, error)
 // moved and the next round resolves the new set — so a single query
 // survives shard death in the same request. The loop is bounded by the
 // fleet size; each retried round has strictly fewer live peers.
-func (g *ClusterGateway) callReplicated(ctx context.Context, key uint64, call shardCall) (any, error) {
+func (g *ClusterGateway) callReplicated(ctx context.Context, key uint64, call shardCall) (json.RawMessage, error) {
 	for attempt := 0; attempt <= g.table.len(); attempt++ {
 		peers := g.replicaPeers(key)
 		if len(peers) == 0 {
@@ -639,14 +649,15 @@ func (g *ClusterGateway) callReplicated(ctx context.Context, key uint64, call sh
 // wins and cancels the rest. retry reports the everyone-unreachable
 // case: every raced peer refused and was evicted, so the caller should
 // re-resolve ownership and try again; any other error is returned in
-// arrival order preferring non-transport errors.
-func (g *ClusterGateway) raceReplicas(ctx context.Context, peers []*clusterPeer, call shardCall) (v any, err error, retry bool) {
+// arrival order preferring non-transport errors, and names the shard
+// that sent it.
+func (g *ClusterGateway) raceReplicas(ctx context.Context, peers []*clusterPeer, call shardCall) (v json.RawMessage, err error, retry bool) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type outcome struct {
 		p   *clusterPeer
-		v   any
+		v   json.RawMessage
 		err error
 	}
 	results := make(chan outcome, len(peers))
@@ -696,7 +707,7 @@ func (g *ClusterGateway) raceReplicas(ctx context.Context, peers []*clusterPeer,
 			if errors.Is(out.err, ErrPeerUnreachable) {
 				g.evict(out.p, "connection refused")
 			} else if firstErr == nil {
-				firstErr = out.err
+				firstErr = fmt.Errorf("shard %d: %w", out.p.index, out.err)
 			}
 			if launched < len(peers) {
 				g.reg.Counter(MetricClusterReplicaFailovers).Inc()
@@ -716,7 +727,9 @@ func (g *ClusterGateway) raceReplicas(ctx context.Context, peers []*clusterPeer,
 // response. Validation never reaches a shard (the gateway mirrors the
 // server's validators), so what lands here is availability: overload
 // propagates as 503 with the shard's Retry-After, everything else is a
-// 502 naming the gateway as the failing hop.
+// 502 naming the gateway as the failing hop. The error's text can hold
+// the shard's internal URL and the forwarded query, so it goes to the
+// log, not to the client.
 func (g *ClusterGateway) writeUpstreamError(w http.ResponseWriter, err error) {
 	var over *OverloadedError
 	switch {
@@ -732,63 +745,36 @@ func (g *ClusterGateway) writeUpstreamError(w http.ResponseWriter, err error) {
 		}
 		writeError(w, http.StatusServiceUnavailable, "shard overloaded: "+over.Message)
 	default:
-		writeError(w, http.StatusBadGateway, "upstream shard error: "+err.Error())
+		g.log.Printf("cluster: upstream shard error: %v", err)
+		writeError(w, http.StatusBadGateway, "upstream shard error")
 	}
 }
 
-func (g *ClusterGateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Every shard serves the same city, so stats (like the POI dump)
-	// routes through the ring at a fixed key — deterministic, and it
-	// inherits the same failover and replication as the query endpoints.
-	v, err := g.callReplicated(r.Context(), 0, func(ctx context.Context, p *clusterPeer) (any, error) {
-		return p.client.Stats(ctx)
+// handleGet relays the four single-query GETs. A located query is
+// validated with the server's own validator and routed to the owner of
+// its cell; the city-wide endpoints (stats, the POI dump) route at key
+// 0, since every shard serves the same city, and so inherit the same
+// failover and replication. The winning shard's body is already what
+// one gspd sends, so it is written as it came.
+func (g *ClusterGateway) handleGet(w http.ResponseWriter, r *http.Request) {
+	path := r.URL.Path
+	var key uint64
+	var params url.Values
+	if path == PathFreq || path == PathQuery {
+		l, radius, ok := parseLocationQuery(w, r, g.maxRadius)
+		if !ok {
+			return
+		}
+		key, params = g.keyFor(l.X, l.Y), locationParams(l, radius)
+	}
+	body, err := g.callReplicated(r.Context(), key, func(ctx context.Context, p *clusterPeer) (json.RawMessage, error) {
+		return p.get(ctx, path, params)
 	})
 	if err != nil {
 		g.writeUpstreamError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, *v.(*StatsResponse))
-}
-
-func (g *ClusterGateway) handlePOIs(w http.ResponseWriter, r *http.Request) {
-	v, err := g.callReplicated(r.Context(), 0, func(ctx context.Context, p *clusterPeer) (any, error) {
-		return p.client.POIs(ctx)
-	})
-	if err != nil {
-		g.writeUpstreamError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, POIsResponse{POIs: v.([]poi.POI)})
-}
-
-func (g *ClusterGateway) handleFreq(w http.ResponseWriter, r *http.Request) {
-	l, radius, ok := parseLocationQuery(w, r, g.maxRadius)
-	if !ok {
-		return
-	}
-	v, err := g.callReplicated(r.Context(), g.keyFor(l.X, l.Y), func(ctx context.Context, p *clusterPeer) (any, error) {
-		return p.client.Freq(ctx, l, radius)
-	})
-	if err != nil {
-		g.writeUpstreamError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, FreqResponse{Freq: v.(poi.FreqVector)})
-}
-
-func (g *ClusterGateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	l, radius, ok := parseLocationQuery(w, r, g.maxRadius)
-	if !ok {
-		return
-	}
-	v, err := g.callReplicated(r.Context(), g.keyFor(l.X, l.Y), func(ctx context.Context, p *clusterPeer) (any, error) {
-		return p.client.Query(ctx, l, radius)
-	})
-	if err != nil {
-		g.writeUpstreamError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{POIs: v.([]poi.POI)})
+	writeRaw(w, http.StatusOK, append(body, '\n'))
 }
 
 // authorizeClusterAdmin applies the membership surface's tenant rule,
@@ -837,6 +823,10 @@ func (g *ClusterGateway) handlePeerJoin(w http.ResponseWriter, r *http.Request) 
 	}
 	var req ClusterJoinRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBody)).Decode(&req); err != nil {
+		if isMaxBytes(err) {
+			writeBodyTooLarge(w, g.maxBody)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "cluster join: bad request body: "+err.Error())
 		return
 	}
@@ -905,7 +895,7 @@ func (g *ClusterGateway) handlePeerLeave(w http.ResponseWriter, r *http.Request)
 }
 
 // errWarmMismatch marks a pre-warm consistency failure: a donor and the
-// joiner disagree on a cell's frequency vector.
+// joiner answer a cell's frequency query with different bytes.
 var errWarmMismatch = errors.New("wire: pre-warm vector mismatch")
 
 // prewarm replays the joining shard's incoming cells into its freq
@@ -913,10 +903,10 @@ var errWarmMismatch = errors.New("wire: pre-warm vector mismatch")
 // would assign to the joiner, the current owner (the donor) is asked
 // for the cell's frequency vector and the joiner is driven through the
 // same query — filling its cache so the join doesn't crater the fleet's
-// hit rate — and the two answers are compared, which doubles as a
-// consistency check that the joiner serves the same city. Cells beyond
-// warmMaxCells are skipped (they warm from live traffic); any fetch
-// error or vector mismatch aborts the join.
+// hit rate — and the two bodies are compared byte for byte, which
+// doubles as a consistency check that the joiner serves the same city.
+// Cells beyond warmMaxCells are skipped (they warm from live traffic);
+// any fetch error or mismatch aborts the join.
 func (g *ClusterGateway) prewarm(ctx context.Context, joiner *clusterPeer) error {
 	if g.warmMaxCells <= 0 {
 		return nil
@@ -1014,10 +1004,11 @@ func (g *ClusterGateway) prewarm(ctx context.Context, joiner *clusterPeer) error
 		go func(jb cellJob) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			want, err := jb.donor.client.Freq(ctx, jb.l, radius)
+			params := locationParams(jb.l, radius)
+			want, err := jb.donor.get(ctx, PathFreq, params)
 			if err == nil {
-				var got poi.FreqVector
-				if got, err = joiner.client.Freq(ctx, jb.l, radius); err == nil && !want.Equal(got) {
+				var got json.RawMessage
+				if got, err = joiner.get(ctx, PathFreq, params); err == nil && !bytes.Equal(want, got) {
 					err = fmt.Errorf("%w: cell (%.0f, %.0f): joiner disagrees with donor %s",
 						errWarmMismatch, jb.l.X, jb.l.Y, jb.donor.url)
 				}
@@ -1079,19 +1070,6 @@ func (g *ClusterGateway) splitByOwner(items []BatchItem, reject func(i int, msg 
 	return order
 }
 
-// shardItemError is the structured per-item error for a whole-shard
-// failure mid-batch.
-func shardItemError(p *clusterPeer, err error) string {
-	switch {
-	case errors.Is(err, ErrPeerUnreachable):
-		return fmt.Sprintf("shard %d unreachable", p.index)
-	case errors.Is(err, ErrOverloaded):
-		return fmt.Sprintf("shard %d overloaded", p.index)
-	default:
-		return fmt.Sprintf("shard %d failed: %v", p.index, err)
-	}
-}
-
 // fanOut runs one shard call per group concurrently and records the
 // fan-out latency. call must only write results at its own group's
 // indices — disjoint by construction, so the merge is lock-free.
@@ -1111,18 +1089,31 @@ func (g *ClusterGateway) fanOut(groups []*shardBatch, call func(sb *shardBatch))
 	g.fanout.Observe(time.Since(start))
 }
 
-// shardCallFailed books a failed shard call and reports the per-item
-// message; a refused connection additionally evicts the shard so the
-// next request routes around it.
+// shardCallFailed books a failed shard call and returns the per-item
+// message, which names the shard by index only: the error's text can
+// hold the shard's internal URL, so it goes to the log. A refused
+// connection also evicts the shard, so the next request routes around
+// it.
 func (g *ClusterGateway) shardCallFailed(sb *shardBatch, err error) string {
 	sb.p.errs.Add(1)
-	if errors.Is(err, ErrPeerUnreachable) {
+	switch {
+	case errors.Is(err, ErrPeerUnreachable):
 		g.evict(sb.p, "connection refused during fanout")
+		return fmt.Sprintf("shard %d unreachable", sb.p.index)
+	case errors.Is(err, ErrOverloaded):
+		return fmt.Sprintf("shard %d overloaded", sb.p.index)
+	default:
+		g.log.Printf("cluster: shard %d failed: %v", sb.p.index, err)
+		return fmt.Sprintf("shard %d failed", sb.p.index)
 	}
-	return shardItemError(sb.p, err)
 }
 
-func (g *ClusterGateway) handleFreqBatch(w http.ResponseWriter, r *http.Request) {
+// handleBatch serves both batch routes. Each shard answers its slice of
+// the items as {"results":[...]} in the order sent, and each result is
+// placed, as the shard's bytes, at its item's original index. The
+// gateway's own item errors encode as {"error":...}, which both result
+// types produce for an error.
+func (g *ClusterGateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	items, ok := decodeBatchRequest(w, r, g.maxBody, g.maxBatch)
 	if !ok {
 		return
@@ -1132,48 +1123,38 @@ func (g *ClusterGateway) handleFreqBatch(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	defer release()
-	results := make([]FreqBatchResult, len(items))
-	groups := g.splitByOwner(items, func(i int, msg string) { results[i].Error = msg })
+	results := make([]json.RawMessage, len(items))
+	groups := g.splitByOwner(items, func(i int, msg string) { results[i] = errorResult(msg) })
 	g.fanOut(groups, func(sb *shardBatch) {
-		res, err := sb.p.client.FreqBatch(r.Context(), sb.items)
+		res, err := postBatch[json.RawMessage](r.Context(), sb.p.client, r.URL.Path, sb.items)
 		if err != nil {
-			msg := g.shardCallFailed(sb, err)
+			failed := errorResult(g.shardCallFailed(sb, err))
 			for _, i := range sb.idx {
-				results[i].Error = msg
+				results[i] = failed
 			}
 			return
 		}
-		for j := range res {
-			results[sb.idx[j]] = res[j]
+		for j, seg := range res {
+			results[sb.idx[j]] = seg
 		}
 	})
-	writeJSON(w, http.StatusOK, FreqBatchResponse{Results: results})
+	n := len(`{"results":[]}`) + len(results)
+	for _, seg := range results {
+		n += len(seg)
+	}
+	b := append(make([]byte, 0, n), `{"results":[`...)
+	for i, seg := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, seg...)
+	}
+	writeRaw(w, http.StatusOK, append(b, "]}\n"...))
 }
 
-func (g *ClusterGateway) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	items, ok := decodeBatchRequest(w, r, g.maxBody, g.maxBatch)
-	if !ok {
-		return
-	}
-	release, ok := g.admitBatch(w, r, len(items))
-	if !ok {
-		return
-	}
-	defer release()
-	results := make([]QueryBatchResult, len(items))
-	groups := g.splitByOwner(items, func(i int, msg string) { results[i].Error = msg })
-	g.fanOut(groups, func(sb *shardBatch) {
-		res, err := sb.p.client.QueryBatch(r.Context(), sb.items)
-		if err != nil {
-			msg := g.shardCallFailed(sb, err)
-			for _, i := range sb.idx {
-				results[i].Error = msg
-			}
-			return
-		}
-		for j := range res {
-			results[sb.idx[j]] = res[j]
-		}
-	})
-	writeJSON(w, http.StatusOK, QueryBatchResponse{Results: results})
+// errorResult is the batch result {"error":msg}.
+func errorResult(msg string) json.RawMessage {
+	// A struct of one string always marshals.
+	b, _ := json.Marshal(ErrorResponse{Error: msg})
+	return b
 }

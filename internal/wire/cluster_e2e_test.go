@@ -659,6 +659,18 @@ func TestClusterGatewayAdmissionAndLimits(t *testing.T) {
 		t.Errorf("oversized batch = %d %s, want 400 naming the limit", resp.StatusCode, body)
 	}
 
+	// A join body over the cap is the same 413 as an oversized batch.
+	join := joinBody("http://" + strings.Repeat("a", 200))
+	resp, err = http.Post(ts.URL+PathClusterPeers, "application/json", bytes.NewReader(join))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || string(body) != `{"error":"request body exceeds 128 bytes"}`+"\n" {
+		t.Errorf("oversized join = %d %s, want 413 naming the cap", resp.StatusCode, body)
+	}
+
 	// Admission: a batch holding the only slot sheds a concurrent one.
 	release, ok := gw.admitBatch(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, PathFreqBatch, nil), 1)
 	if !ok {
@@ -680,6 +692,131 @@ func TestClusterGatewayAdmissionAndLimits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("post-release request = %d, want 200", resp.StatusCode)
+	}
+}
+
+// syncBuffer is a log sink a test can read while handlers write to it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestClusterUpstreamErrorsHideShardAddress: when a shard call times
+// out, net/http's error names the shard's internal URL and the
+// forwarded query. The client's 502 and the batch's item error must
+// name the shard by index only; the detail goes to the gateway's log.
+func TestClusterUpstreamErrorsHideShardAddress(t *testing.T) {
+	var logs syncBuffer
+	h := newClusterHarness(t, 2, false,
+		WithProbeTimeout(20*time.Millisecond), // 80 ms per attempt
+		WithLogger(log.New(&logs, "", 0)))
+	owner, ok := h.gw.ownerPeer(h.gw.keyFor(6000, 6000))
+	if !ok {
+		t.Fatal("ring empty")
+	}
+	host := hostOf(t, owner.url)
+	h.kill.lag(host, time.Second)
+	defer h.kill.lag(host, 0)
+
+	get := h.send(t, h.gwTS.URL, http.MethodGet, PathFreq+"?x=6000&y=6000&r=900", nil, "", nil, time.Time{}, "")
+	if want := `{"error":"upstream shard error"}` + "\n"; get.status != http.StatusBadGateway || string(get.body) != want {
+		t.Errorf("GET via a timed-out shard = %d %s, want 502 %s", get.status, get.body, want)
+	}
+	batch := h.send(t, h.gwTS.URL, http.MethodPost, PathFreqBatch,
+		[]byte(`{"items":[{"x":6000,"y":6000,"r":900}]}`), "", nil, time.Time{}, "")
+	if want := fmt.Sprintf(`{"results":[{"error":"shard %d failed"}]}`+"\n", owner.index); batch.status != http.StatusOK || string(batch.body) != want {
+		t.Errorf("batch via a timed-out shard = %d %s, want 200 %s", batch.status, batch.body, want)
+	}
+	for _, body := range [][]byte{get.body, batch.body} {
+		if bytes.Contains(body, []byte(host)) {
+			t.Errorf("response leaks the shard's address %s: %s", host, body)
+		}
+	}
+	logged := logs.String()
+	for _, want := range []string{
+		fmt.Sprintf("shard %d: wire: %s", owner.index, PathFreq),
+		fmt.Sprintf("shard %d failed: wire: %s", owner.index, PathFreqBatch),
+	} {
+		if !strings.Contains(logged, want) || !strings.Contains(logged, host) {
+			t.Errorf("gateway log lacks %q with the shard's address:\n%s", want, logged)
+		}
+	}
+}
+
+// TestClusterRelayRefusesBadShardOutput: the gateway relays shard bytes
+// but still checks them. A GET body that is not JSON answers 502, and a
+// batch reply one result short fails every item of that shard; none of
+// the stub shard's bytes reach the client.
+func TestClusterRelayRefusesBadShardOutput(t *testing.T) {
+	const sentinel = `{"freq":[7,7,7]}`
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case obs.PathReadyz:
+			io.WriteString(w, `{"status":"ready"}`)
+		case PathFreq:
+			io.WriteString(w, `{"freq":[1,`)
+		case PathFreqBatch:
+			var req BatchRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Items) == 0 {
+				http.Error(w, "bad batch", http.StatusBadRequest)
+				return
+			}
+			results := strings.Repeat(sentinel+",", len(req.Items)-1)
+			io.WriteString(w, `{"results":[`+strings.TrimSuffix(results, ",")+`]}`)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer stub.Close()
+	gw, err := NewClusterGateway([]string{stub.URL},
+		WithLogger(log.New(io.Discard, "", 0)),
+		WithPeerClientOptions(fastBackoff()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw)
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + PathFreq + "?x=1&y=2&r=100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway || bytes.Contains(body, []byte(`"freq"`)) {
+		t.Errorf("GET over a truncated shard body = %d %s, want 502 without the shard's bytes", resp.StatusCode, body)
+	}
+
+	resp, err = http.Post(ts.URL+PathFreqBatch, "application/json", bytes.NewReader(freqBatchBody(t, 3, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var out FreqBatchResponse
+	if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK || len(out.Results) != 3 {
+		t.Fatalf("batch over a short shard reply = %d %s (%v), want 200 with 3 results", resp.StatusCode, body, err)
+	}
+	for i, res := range out.Results {
+		if !strings.HasPrefix(res.Error, "shard 0 failed") || res.Freq != nil {
+			t.Errorf("item %d = %+v, want the error shard 0 failed", i, res)
+		}
+	}
+	if bytes.Contains(body, []byte("7,7,7")) {
+		t.Errorf("the short reply's results reached the client: %s", body)
 	}
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log"
 	"math"
 	"net/http"
@@ -95,6 +96,11 @@ func isMaxBytes(err error) bool {
 	return errors.As(err, &mbe)
 }
 
+// writeBodyTooLarge is every server's 413 for a body over maxBody bytes.
+func writeBodyTooLarge(w http.ResponseWriter, maxBody int64) {
+	writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBody))
+}
+
 func (s *GSPServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	l, radius, ok := s.parseLocation(w, r)
 	if !ok {
@@ -119,7 +125,9 @@ func (s *GSPServer) handleFreq(w http.ResponseWriter, r *http.Request) {
 // appendFreqJSON appends the bytes json.Marshal gives a non-nil f,
 // without reflection. The freq endpoints write their bodies with it, and
 // those must stay byte-identical to writeJSON of the typed response: a
-// gateway re-encodes every shard reply with encoding/json.
+// gateway relays shard bodies as they are, and its pre-warm compares a
+// joiner's bodies with a donor's byte for byte, so every gspd build in
+// a fleet must write the same bytes.
 func appendFreqJSON(b []byte, f poi.FreqVector) []byte {
 	b = append(b, '[')
 	for i, n := range f {

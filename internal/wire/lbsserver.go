@@ -177,8 +177,7 @@ func (s *LBSServer) handleRelease(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	if err := json.NewDecoder(body).Decode(&rel); err != nil {
 		if isMaxBytes(err) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.maxBody))
+			writeBodyTooLarge(w, s.maxBody)
 			return
 		}
 		writeError(w, http.StatusBadRequest, "invalid JSON body")
