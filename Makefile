@@ -43,11 +43,11 @@ bench:
 bench-test:
 	$(GO) -C bench test ./...
 
-# bench-core runs the PR-critical ablation benchmarks (sharded cache,
-# batched wire queries, parallel sweep engine, histogram index, pooled
-# region prune, parallel Gram, sharded budget ledger, snapshot replay)
-# at a fixed -benchtime and writes the parsed numbers to BENCH_core.json
-# for DESIGN.md §5.
+# bench-core runs the PR-critical benchmarks (the freq cache on the
+# attacks' access pattern, miss coalescing, batched wire queries,
+# parallel sweep engine, histogram index, pooled region prune, parallel
+# Gram, sharded budget ledger, snapshot replay) at a fixed -benchtime
+# and writes the parsed numbers to BENCH_core.json for DESIGN.md §5.
 bench-core:
 	$(GO) test -run '^$$' -bench '$(BENCH_CORE_PATTERN)' \
 		-benchmem -benchtime=1s -count=5 $(BENCH_CORE_PKGS) \
@@ -107,21 +107,16 @@ loadtest-cluster:
 # key set whose radius rotates every epoch, so each rotation stampedes
 # all 32 workers onto the same fresh misses; -compute-cost pads each
 # CountTypes with fixed yielding CPU work so the misses genuinely
-# overlap (the contention profile of a dense production city). Runs the
-# ablation pair — miss coalescer off, then on — and writes
-# LOADTEST_duphot_{off,on}.json; compare the "gsp" stats (computes,
-# sfJoined) and okLatency.p99 between the two (DESIGN.md §11).
+# overlap (the contention profile of a dense production city). Writes
+# LOADTEST_duphot.json; its "gsp" block shows the coalescing (computes
+# below cacheMisses by sfShared), and -assert fails the run if no miss
+# joined an in-flight computation. DESIGN.md §11 has the ablation with
+# coalescing off.
 loadtest-duphot:
 	$(GO) run ./cmd/loadgen -inprocess -assert -quiet \
 		-targets freq -profile dup-hot -conc 32 -duration 5s \
 		-compute-cost 3ms -zipf-s 1.6 -dup-epoch 250ms \
-		-no-singleflight -name duphot-singleflight-off \
-		-out LOADTEST_duphot_off.json
-	$(GO) run ./cmd/loadgen -inprocess -assert -quiet \
-		-targets freq -profile dup-hot -conc 32 -duration 5s \
-		-compute-cost 3ms -zipf-s 1.6 -dup-epoch 250ms \
-		-name duphot-singleflight-on \
-		-out LOADTEST_duphot_on.json
+		-name duphot -out LOADTEST_duphot.json
 
 # loadtest-stream drives open-loop NDJSON ingestion with rotating user
 # cohorts (a fresh never-seen population every -stream-burst) against

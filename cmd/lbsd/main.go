@@ -134,7 +134,39 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	logger := log.New(os.Stderr, "lbsd ", log.LstdFlags)
+	d, err := build(cfg, logger)
+	if err != nil {
+		return err
+	}
+	defer d.close(logger)
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if d.led != nil && cfg.budgetTTL > 0 {
+		startEvictLoop(ctx, logger, d.led, cfg.budgetTTL)
+	}
+	logger.Printf("LBS app for %s on %s (audit=%v, metrics at %s)",
+		cfg.cityName, cfg.server.Addr, !cfg.noAudit, obs.PathMetrics)
+	return d.srv.ListenAndServe(ctx, cfg.server.Addr)
+}
+
+// daemon is lbsd assembled from its flags: the server, and the ledger
+// and stream release loop that its shutdown tail drains.
+type daemon struct {
+	srv        *wire.LBSServer
+	led        *budget.Ledger // nil without -budget
+	stopStream func()         // nil without -stream
+}
+
+// close is the daemon's shutdown tail (stopStreamAndCloseLedger).
+func (d *daemon) close(logger *log.Logger) {
+	stopStreamAndCloseLedger(logger, d.stopStream, d.led)
+}
+
+// build assembles lbsd from cfg without binding a listener. When it
+// fails, it drains whatever it had already opened.
+func build(cfg *config, logger *log.Logger) (_ *daemon, err error) {
 	var p citygen.Params
 	switch cfg.cityName {
 	case "beijing":
@@ -142,18 +174,17 @@ func run(args []string) error {
 	case "nyc":
 		p = citygen.NewYork(cfg.seed)
 	default:
-		return fmt.Errorf("unknown city %q", cfg.cityName)
+		return nil, fmt.Errorf("unknown city %q", cfg.cityName)
 	}
 	city, err := citygen.Generate(p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	logger := log.New(os.Stderr, "lbsd ", log.LstdFlags)
 	reg := obs.NewRegistry()
 	opts, err := cfg.server.Options(logger)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	opts = append(opts,
 		wire.WithHistoryLimit(cfg.historyLimit),
@@ -162,12 +193,21 @@ func run(args []string) error {
 	var svc *gsp.Service
 	if !cfg.noAudit || cfg.streamOn {
 		svc = gsp.NewService(city.City, 1<<18)
+		svc.ExportMetrics(reg)
 	}
 	if !cfg.noAudit {
 		opts = append(opts, wire.WithAuditor(wire.RegionAuditor{Svc: svc}))
 	}
 
-	var led *budget.Ledger
+	// The shutdown tail drains the stateful subsystems in dependency
+	// order: the stream's final flush charges the ledger, so it must run
+	// before the ledger's closing snapshot.
+	d := &daemon{}
+	defer func() {
+		if err != nil {
+			d.close(logger)
+		}
+	}()
 	if cfg.budgetOn {
 		policy := budget.Policy{
 			LifetimeEps:   cfg.budgetEps,
@@ -178,25 +218,18 @@ func run(args []string) error {
 			IdleTTL:       cfg.budgetTTL,
 		}
 		if cfg.budgetDir != "" {
-			led, err = budget.Open(policy, cfg.budgetDir, budget.WithSnapshotEvery(cfg.snapshotEvery))
+			d.led, err = budget.Open(policy, cfg.budgetDir, budget.WithSnapshotEvery(cfg.snapshotEvery))
 		} else {
-			led, err = budget.New(policy)
+			d.led, err = budget.New(policy)
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		led.ExportMetrics(reg)
-		opts = append(opts, wire.WithBudget(led, cfg.releaseEps, cfg.releaseDelta))
+		d.led.ExportMetrics(reg)
+		opts = append(opts, wire.WithBudget(d.led, cfg.releaseEps, cfg.releaseDelta))
 		logger.Printf("budget enforcement on: (ε=%v, δ=%v) per release, window %v of ε=%v, lifetime ε=%v, persistence %q",
 			cfg.releaseEps, cfg.releaseDelta, policy.Window, policy.WindowEps, policy.LifetimeEps, cfg.budgetDir)
 	}
-
-	// Shutdown tail for the stateful subsystems, in dependency order:
-	// the stream's final flush charges the ledger, so it must run before
-	// the ledger's closing snapshot. Registered before the stream starts
-	// so every return path below drains it.
-	var stopStream func()
-	defer func() { stopStreamAndCloseLedger(logger, stopStream, led) }()
 
 	if cfg.streamOn {
 		st, err := stream.NewStore(stream.Config{
@@ -206,14 +239,14 @@ func run(args []string) error {
 			Bounds:     city.Bounds,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pop := cloak.UniformPopulation(city.Bounds, cfg.streamPop, cfg.streamSeed)
 		mech, err := defense.NewDPRelease(svc, pop, defense.DefaultDPReleaseConfig())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rel, err := stream.NewReleaser(st, svc, mech, led, stream.ReleaserConfig{
+		rel, err := stream.NewReleaser(st, svc, mech, d.led, stream.ReleaserConfig{
 			Interval: cfg.streamTick,
 			Radius:   cfg.streamRadius,
 			Seed:     cfg.streamSeed,
@@ -222,23 +255,15 @@ func run(args []string) error {
 			Delta:    cfg.streamDelta,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		opts = append(opts, wire.WithStream(st, rel))
-		stopStream = rel.Start(func(err error) { logger.Printf("stream release: %v", err) })
+		d.stopStream = rel.Start(func(err error) { logger.Printf("stream release: %v", err) })
 		logger.Printf("streaming ingestion on: %v window over ≤%d users × %d events, release every %v at radius %vm",
 			cfg.streamWindow, cfg.historyUsers, cfg.streamPerUser, rel.Config().Interval, rel.Config().Radius)
 	}
-	srv := wire.NewLBSServer(city.M(), opts...)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if led != nil && cfg.budgetTTL > 0 {
-		startEvictLoop(ctx, logger, led, cfg.budgetTTL)
-	}
-	logger.Printf("LBS app for %s on %s (audit=%v, metrics at %s)",
-		city.Name, cfg.server.Addr, !cfg.noAudit, obs.PathMetrics)
-	return srv.ListenAndServe(ctx, cfg.server.Addr)
+	d.srv = wire.NewLBSServer(city.M(), opts...)
+	return d, nil
 }
 
 // stopStreamAndCloseLedger is the daemon's shutdown tail. The stream

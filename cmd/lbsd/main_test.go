@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
 	"time"
@@ -16,7 +19,9 @@ import (
 	"poiagg/internal/cloak"
 	"poiagg/internal/defense"
 	"poiagg/internal/gsp"
+	"poiagg/internal/obs"
 	"poiagg/internal/stream"
+	"poiagg/internal/wire"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -46,6 +51,56 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-stream", "-history-users", "0"}); err == nil {
 		t.Error("stream with no user capacity accepted")
+	}
+}
+
+// TestAuditedReleaseExportsGSPMetrics drives one audited release
+// through the server lbsd builds: the audit's region attack probes the
+// gsp cache, so /v1/metrics must carry its counters with a miss.
+func TestAuditedReleaseExportsGSPMetrics(t *testing.T) {
+	cfg := declareFlags(flag.NewFlagSet("lbsd", flag.ContinueOnError))
+	logger := log.New(io.Discard, "", 0)
+	d, err := build(cfg, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close(logger)
+	ts := httptest.NewServer(d.srv)
+	defer ts.Close()
+
+	// Every type present: the audit anchors on the city's rarest type
+	// and probes Freq around each of its POIs.
+	freq := make([]int, citygen.Beijing(cfg.seed).NumTypes)
+	for i := range freq {
+		freq[i] = 1
+	}
+	body, err := json.Marshal(map[string]any{"userId": "u1", "r": 1000, "freq": freq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/release", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rel wire.ReleaseResponse
+	err = json.NewDecoder(resp.Body).Decode(&rel)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !rel.Audited {
+		t.Fatalf("release: status %d, %+v, %v; want an audited 200", resp.StatusCode, rel, err)
+	}
+
+	resp, err = http.Get(ts.URL + obs.PathMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters[gsp.MetricCacheMisses]; got == 0 {
+		t.Errorf("%s = %d after an audited release, want > 0 (counters: %v)", gsp.MetricCacheMisses, got, snap.Counters)
 	}
 }
 

@@ -117,11 +117,10 @@ type config struct {
 	city      string
 	seed      uint64
 
-	profile        string
-	zipfS          float64
-	dupEpoch       time.Duration
-	computeCost    time.Duration
-	noSingleflight bool
+	profile     string
+	zipfS       float64
+	dupEpoch    time.Duration
+	computeCost time.Duration
 
 	streamUsers int
 	streamBatch int
@@ -222,15 +221,13 @@ type StreamStats struct {
 // GSPStats reports what the client-side throughput cost the server in
 // index computations — the number dup-hot runs exist to compare.
 type GSPStats struct {
-	// Singleflight reports whether the miss coalescer was enabled.
-	Singleflight bool   `json:"singleflight"`
-	CacheHits    uint64 `json:"cacheHits"`
-	CacheMisses  uint64 `json:"cacheMisses"`
-	SFLeader     uint64 `json:"sfLeader"`
-	SFJoined     uint64 `json:"sfJoined"`
-	SFShared     uint64 `json:"sfShared"`
+	CacheHits   uint64 `json:"cacheHits"`
+	CacheMisses uint64 `json:"cacheMisses"`
+	SFLeader    uint64 `json:"sfLeader"`
+	SFJoined    uint64 `json:"sfJoined"`
+	SFShared    uint64 `json:"sfShared"`
 	// Computes counts CountTypes executions: sfLeader + (sfJoined −
-	// sfShared) with singleflight on, cacheMisses with it off.
+	// sfShared).
 	Computes uint64 `json:"computes"`
 }
 
@@ -290,7 +287,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.DurationVar(&cfg.streamBurst, "stream-burst", 2*time.Second, "stream profile: cohort rotation period (each rotation is a flood of never-seen users)")
 	fs.DurationVar(&cfg.streamTick, "stream-tick", 500*time.Millisecond, "in-process stream: windowed DP release period")
 	fs.DurationVar(&cfg.computeCost, "compute-cost", 0, "in-process GSP: CPU time burned per CountTypes (like -audit-cost for the LBS: fixed yielding work makes a freq miss span scheduler slices, so dup-hot stampedes genuinely overlap even on few cores)")
-	fs.BoolVar(&cfg.noSingleflight, "no-singleflight", false, "in-process GSP: disable the miss coalescer (ablation baseline for dup-hot runs)")
 	fs.IntVar(&cfg.admitLimit, "admit-limit", 0, "in-process servers' admission concurrency limit (0 = unlimited)")
 	fs.IntVar(&cfg.admitQueue, "admit-queue", 64, "in-process servers' admission queue length")
 	fs.DurationVar(&cfg.admitTimeout, "admit-timeout", 250*time.Millisecond, "in-process servers' admission queue wait cap")
@@ -604,7 +600,6 @@ func run(args []string, stdout io.Writer) error {
 			})
 		}
 		svc := gsp.NewService(city.City, 1<<14)
-		svc.SetSingleflight(!cfg.noSingleflight)
 		inprocSvc = svc
 		serverOpts := []wire.ServerOption{wire.WithLogger(log.New(io.Discard, "", 0))}
 		if cfg.admitLimit > 0 {
@@ -666,18 +661,13 @@ func run(args []string, stdout io.Writer) error {
 			// gives each shard its own service — shared caches would hide
 			// the very hit-rate dip the profile exists to measure.
 			churnMode := cfg.profile == "membership-churn"
-			newShardSvc := func() *gsp.Service {
-				s := gsp.NewService(city.City, 1<<14)
-				s.SetSingleflight(!cfg.noSingleflight)
-				return s
-			}
 			peers := make([]string, cfg.shards)
 			shards := make([]*gsp.Service, cfg.shards)
 			closers := make([]func(), cfg.shards)
 			for i := range peers {
 				shardSvc := svc
 				if churnMode {
-					shardSvc = newShardSvc()
+					shardSvc = gsp.NewService(city.City, 1<<14)
 				}
 				shards[i] = shardSvc
 				shardTS := httptest.NewServer(wire.NewGSPServer(shardSvc, serverOpts...))
@@ -704,7 +694,7 @@ func run(args []string, stdout io.Writer) error {
 				}
 				churn = newChurnRun(peers[0], closers[0], append([]*gsp.Service(nil), shards...))
 				churnNewShard = func() (string, *gsp.Service) {
-					s := newShardSvc()
+					s := gsp.NewService(city.City, 1<<14)
 					ts := httptest.NewServer(wire.NewGSPServer(s, serverOpts...))
 					churn.stopJoiner = ts.Close
 					return ts.URL, s
@@ -939,19 +929,14 @@ func run(args []string, stdout io.Writer) error {
 	if inprocSvc != nil {
 		hits, misses := inprocSvc.CacheStats()
 		sf := inprocSvc.SingleflightMetrics()
-		g := &GSPStats{
-			Singleflight: !cfg.noSingleflight,
-			CacheHits:    hits,
-			CacheMisses:  misses,
-			SFLeader:     sf.Leader,
-			SFJoined:     sf.Hits,
-			SFShared:     sf.Shared,
-			Computes:     misses,
+		report.GSP = &GSPStats{
+			CacheHits:   hits,
+			CacheMisses: misses,
+			SFLeader:    sf.Leader,
+			SFJoined:    sf.Hits,
+			SFShared:    sf.Shared,
+			Computes:    sf.Leader + (sf.Hits - sf.Shared),
 		}
-		if g.Singleflight {
-			g.Computes = sf.Leader + (sf.Hits - sf.Shared)
-		}
-		report.GSP = g
 	}
 	if churn != nil {
 		snap := clusterReg.Snapshot()
@@ -1007,6 +992,9 @@ func run(args []string, stdout io.Writer) error {
 		if report.BadRequest > 0 || report.TransportErrors > 0 {
 			return fmt.Errorf("assert: unexpected errors (badRequest=%d transport=%d)",
 				report.BadRequest, report.TransportErrors)
+		}
+		if g := report.GSP; g != nil && cfg.profile == "dup-hot" && g.SFJoined == 0 {
+			return errors.New("assert: dup-hot stampedes joined no in-flight computation (sfJoined=0)")
 		}
 		if s := report.Stream; s != nil && s.WindowEvents > s.WindowEventCap {
 			return fmt.Errorf("assert: window store exceeded its memory bound (%d events > cap %d)",

@@ -24,8 +24,8 @@ type BatchQuery struct {
 // Identical (L, R) items are deduplicated before the fan-out: each
 // unique key is resolved once and duplicate indices receive their own
 // clone of that result, so a batch of N copies of one probe costs one
-// compute, not N (and never has the pool racing N workers through the
-// singleflight table for the same key).
+// compute, not N (and never has the pool parking N−1 workers on the
+// same key's in-flight call).
 func (s *Service) FreqBatch(reqs []BatchQuery) []poi.FreqVector {
 	out := make([]poi.FreqVector, len(reqs))
 	firstOf := make(map[freqKey]int, len(reqs))

@@ -12,26 +12,6 @@ import (
 	"poiagg/internal/poi"
 )
 
-// freqCache is the Service's memoization backend. Implementations must
-// be safe for concurrent use. Vectors are held packed (appendPacked):
-// put packs the caller's vector — which it does not retain — and returns
-// the packed bytes it stored; get, peek and hottest return stored packed
-// bytes. Bytes a cache has returned are never rewritten, so callers
-// unpack them (unpackFreq) without holding any lock, and must not modify
-// them.
-type freqCache interface {
-	get(k freqKey) ([]byte, bool)
-	// peek is get for the singleflight leader re-check: a present key
-	// counts as a hit (it serves the request), an absent one counts
-	// nothing — the miss was already recorded by the get that led here.
-	peek(k freqKey) ([]byte, bool)
-	put(k freqKey, f poi.FreqVector) []byte
-	metrics() CacheMetrics
-	// hottest returns up to n live entries ordered by per-entry hit
-	// count, hottest first — the tiered store snapshots these.
-	hottest(n int) []hotEntry
-}
-
 // hotEntry is one cache entry paired with its lifetime hit count; val is
 // the cache's packed vector and must not be mutated.
 type hotEntry struct {
@@ -102,17 +82,15 @@ func uvarintAt(b []byte, i int) (uint64, int) {
 
 // CacheMetrics is a point-in-time view of the Freq cache's bookkeeping.
 type CacheMetrics struct {
-	// Hits and Misses count lookups. A Freq call is normally exactly
-	// one of the two; a miss rescued by the singleflight leader
-	// re-check (singleflight.go) counts one miss plus one hit.
+	// Hits and Misses count lookups: every Freq call is exactly one of
+	// the two.
 	Hits, Misses uint64
 	// Evictions counts entries dropped by the LRU policy — individual
 	// entries, not whole-cache wipes.
 	Evictions uint64
 	// Size is the number of live entries; Capacity the configured bound.
 	Size, Capacity int
-	// Shards is the number of lock shards (1 for the single-lock
-	// ablation baseline).
+	// Shards is the number of lock shards.
 	Shards int
 }
 
@@ -133,10 +111,10 @@ func (s *Service) ExportMetrics(reg *obs.Registry) {
 	if s.cache == nil || reg == nil {
 		return
 	}
-	reg.CounterFunc(MetricCacheHits, func() uint64 { return s.cache.metrics().Hits })
-	reg.CounterFunc(MetricCacheMisses, func() uint64 { return s.cache.metrics().Misses })
-	reg.CounterFunc(MetricCacheEvictions, func() uint64 { return s.cache.metrics().Evictions })
-	reg.CounterFunc(MetricCacheSize, func() uint64 { return uint64(s.cache.metrics().Size) })
+	reg.CounterFunc(MetricCacheHits, func() uint64 { return s.CacheMetrics().Hits })
+	reg.CounterFunc(MetricCacheMisses, func() uint64 { return s.CacheMetrics().Misses })
+	reg.CounterFunc(MetricCacheEvictions, func() uint64 { return s.CacheMetrics().Evictions })
+	reg.CounterFunc(MetricCacheSize, func() uint64 { return uint64(s.CacheMetrics().Size) })
 	reg.CounterFunc(MetricSFLeader, func() uint64 { return s.SingleflightMetrics().Leader })
 	reg.CounterFunc(MetricSFShared, func() uint64 { return s.SingleflightMetrics().Shared })
 	reg.CounterFunc(MetricSFHits, func() uint64 { return s.SingleflightMetrics().Hits })
@@ -174,6 +152,10 @@ type slot struct {
 // []byte arena. The runtime allocates all three as no-scan memory, so a
 // GC cycle marks the slot table, the arena and the map's tables (one
 // per up to 1,024 entries) instead of two objects per entry.
+//
+// The same lock covers the shard's in-flight calls (singleflight.go),
+// so a lookup that misses joins the key's call or registers a new one
+// in the step that counted the miss.
 type cacheShard struct {
 	mu    sync.Mutex
 	index map[freqKey]int32
@@ -184,22 +166,27 @@ type cacheShard struct {
 	// arena holds the packed vectors. Bytes below len(arena) are never
 	// rewritten: a refresh or an eviction leaves its old bytes dead in
 	// place, and compaction copies the live ones into a fresh arena, so
-	// a slice returned by get stays valid and unchanged after the lock
-	// is released.
+	// a slice returned by lookup stays valid and unchanged after the
+	// lock is released.
 	arena []byte
 	live  int // arena bytes that live slots refer to
 	cap   int
+	// calls maps each key being computed to its call. It is the shard's
+	// only pointerful state, and holds one entry per computing leader.
+	calls map[freqKey]*sfCall
 
 	hits, misses, evictions uint64
+	leaders, joins, shared  uint64
 }
 
 func (s *cacheShard) init(capacity int) {
 	s.cap = capacity
 	s.index = make(map[freqKey]int32, min(capacity, 1024))
 	s.head, s.tail, s.free = -1, -1, -1
+	s.calls = make(map[freqKey]*sfCall)
 }
 
-// shardedCache is the production Freq cache: power-of-two lock shards
+// shardedCache is the Service's Freq cache: power-of-two lock shards
 // selected by hashed key, per-shard second-chance (CLOCK) eviction —
 // the classic one-bit LRU approximation. A hit only sets the entry's
 // touched bit, so the hit critical section is exactly a map lookup (no
@@ -209,6 +196,11 @@ func (s *cacheShard) init(capacity int) {
 // a full cache sheds cold entries instead of wiping the hot working set
 // (the pre-sharding design's clear-all degraded to a 0% hit rate
 // mid-sweep every time it filled).
+//
+// Vectors are held packed (appendPacked). The cache never retains a
+// caller's vector, and never rewrites bytes it has handed out, so
+// callers unpack them (unpackFreq) without holding any lock, and must
+// not modify them.
 type shardedCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -246,32 +238,52 @@ func (c *shardedCache) shardFor(k freqKey) *cacheShard {
 	return &c.shards[k.hash()&c.mask]
 }
 
-func (c *shardedCache) get(k freqKey) ([]byte, bool) {
-	return c.lookup(k, true)
-}
-
-func (c *shardedCache) peek(k freqKey) ([]byte, bool) {
-	return c.lookup(k, false)
-}
-
-func (c *shardedCache) lookup(k freqKey, countMiss bool) ([]byte, bool) {
-	s := c.shardFor(k)
+// lookup is one Freq lookup, made under the shard lock. A hit returns
+// k's packed bytes and a nil call. A miss returns the call computing k:
+// with lead false when another goroutine already computes k, so the
+// caller joins it; otherwise lookup registers a new call and returns it
+// with lead true, and the caller must compute k and end the call with
+// fill. Every lookup counts exactly one hit or one miss, and every miss
+// exactly one leader or one join.
+func (s *cacheShard) lookup(k freqKey) (b []byte, c *sfCall, lead bool) {
 	s.mu.Lock()
-	i, ok := s.index[k]
-	if !ok {
-		if countMiss {
-			s.misses++
-		}
+	if i, ok := s.index[k]; ok {
+		s.hits++
+		e := &s.slots[i]
+		e.touched = true
+		e.hits++
+		b = s.packed(e)
 		s.mu.Unlock()
-		return nil, false
+		return b, nil, false
 	}
-	s.hits++
-	e := &s.slots[i]
-	e.touched = true
-	e.hits++
-	b := s.packed(e)
+	s.misses++
+	if c = s.calls[k]; c != nil {
+		s.joins++
+		c.joiners++
+		s.mu.Unlock()
+		return nil, c, false
+	}
+	s.leaders++
+	c = &sfCall{}
+	c.wg.Add(1)
+	s.calls[k] = c
 	s.mu.Unlock()
-	return b, true
+	return nil, c, true
+}
+
+// fill ends leader call c in one locked step: it packs f into the
+// shard, gives the stored bytes to c and unregisters c, so a lookup
+// finds either k's call or its entry. A nil f — the leader panicked —
+// unregisters c with ok false, and its joiners compute for themselves.
+func (s *cacheShard) fill(k freqKey, c *sfCall, f poi.FreqVector) {
+	s.mu.Lock()
+	if f != nil {
+		c.val, c.ok = s.store(k, f), true
+		s.shared += c.joiners
+	}
+	delete(s.calls, k)
+	s.mu.Unlock()
+	c.wg.Done()
 }
 
 // packed returns e's bytes, capped so no append through them can reach
@@ -280,15 +292,27 @@ func (s *cacheShard) packed(e *slot) []byte {
 	return s.arena[e.off : e.off+e.n : e.off+e.n]
 }
 
+// put packs f into the cache under k outside any call: warm start seeds
+// the cache with it, and a joiner whose leader panicked stores its own
+// compute.
 func (c *shardedCache) put(k freqKey, f poi.FreqVector) []byte {
 	s := c.shardFor(k)
 	s.mu.Lock()
+	b := s.store(k, f)
+	s.mu.Unlock()
+	return b
+}
+
+// store packs f into the arena under k and returns the stored bytes.
+// Caller holds the shard lock.
+func (s *cacheShard) store(k freqKey, f poi.FreqVector) []byte {
 	off := len(s.arena)
 	s.arena = appendPacked(s.arena, f)
 	n := len(s.arena) - off
 	if i, ok := s.index[k]; ok {
-		// A concurrent miss on the same key beat us here; refresh the
-		// value and recency, keep the size unchanged.
+		// A put over a live entry — warm start over a serving cache, or
+		// a joiner whose leader panicked racing the key's next leader:
+		// refresh the value and recency, keep the size unchanged.
 		e := &s.slots[i]
 		s.live += n - e.n
 		e.off, e.n = off, n
@@ -307,7 +331,6 @@ func (c *shardedCache) put(k freqKey, f poi.FreqVector) []byte {
 	if len(s.arena)-s.live > s.live {
 		s.compact()
 	}
-	s.mu.Unlock()
 	return b
 }
 
@@ -360,10 +383,10 @@ func (s *cacheShard) evictOne() {
 	}
 }
 
-// compact copies the live entries' bytes into a fresh arena. put calls
-// it once dead bytes outnumber live ones, so the arena stays within
-// about twice the live bytes and each byte written is copied a bounded
-// number of times. The old arena is dropped, never reused, so slices
+// compact copies the live entries' bytes into a fresh arena. store
+// calls it once dead bytes outnumber live ones, so the arena stays
+// within about twice the live bytes and each byte written is copied a
+// bounded number of times. The old arena is dropped, never reused, so slices
 // handed out before the compaction keep reading intact bytes. Caller
 // holds the shard lock.
 func (s *cacheShard) compact() {
@@ -412,8 +435,9 @@ func (c *shardedCache) hottest(n int) []hotEntry {
 	return out
 }
 
-func (c *shardedCache) metrics() CacheMetrics {
+func (c *shardedCache) metrics() (CacheMetrics, SingleflightMetrics) {
 	m := CacheMetrics{Shards: len(c.shards)}
+	var sf SingleflightMetrics
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -422,97 +446,10 @@ func (c *shardedCache) metrics() CacheMetrics {
 		m.Evictions += s.evictions
 		m.Size += len(s.index)
 		m.Capacity += s.cap
+		sf.Leader += s.leaders
+		sf.Hits += s.joins
+		sf.Shared += s.shared
 		s.mu.Unlock()
 	}
-	return m
-}
-
-// singleLockCache is the pre-sharding design — one mutex around one map,
-// overflow handled by wiping everything. Kept only as the ablation
-// baseline for BenchmarkFreqCacheSharded; the Service never uses it.
-type singleLockCache struct {
-	mu      sync.Mutex
-	entries map[freqKey][]byte
-	cap     int
-
-	hits, misses, evictions uint64
-}
-
-func newSingleLockCache(capacity int) *singleLockCache {
-	return &singleLockCache{
-		entries: make(map[freqKey][]byte, min(capacity, 4096)),
-		cap:     capacity,
-	}
-}
-
-func (c *singleLockCache) get(k freqKey) ([]byte, bool) {
-	c.mu.Lock()
-	b, ok := c.entries[k]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	c.mu.Unlock()
-	return b, ok
-}
-
-func (c *singleLockCache) peek(k freqKey) ([]byte, bool) {
-	c.mu.Lock()
-	b, ok := c.entries[k]
-	if ok {
-		c.hits++
-	}
-	c.mu.Unlock()
-	return b, ok
-}
-
-func (c *singleLockCache) put(k freqKey, f poi.FreqVector) []byte {
-	b := appendPacked(nil, f)
-	c.mu.Lock()
-	if len(c.entries) >= c.cap {
-		c.evictions += uint64(len(c.entries))
-		clear(c.entries)
-	}
-	c.entries[k] = b
-	c.mu.Unlock()
-	return b
-}
-
-func (c *singleLockCache) hottest(n int) []hotEntry {
-	// The ablation baseline tracks no per-entry hits; return entries in
-	// key order so the result is at least deterministic.
-	c.mu.Lock()
-	out := make([]hotEntry, 0, len(c.entries))
-	for k, v := range c.entries {
-		out = append(out, hotEntry{key: k, val: v})
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].key, out[j].key
-		if a.x != b.x {
-			return a.x < b.x
-		}
-		if a.y != b.y {
-			return a.y < b.y
-		}
-		return a.r < b.r
-	})
-	if n >= 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-func (c *singleLockCache) metrics() CacheMetrics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheMetrics{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Size:      len(c.entries),
-		Capacity:  c.cap,
-		Shards:    1,
-	}
+	return m, sf
 }

@@ -141,20 +141,17 @@ func (c *City) InfrequencyRank() []int { return c.rank }
 // The cache is sharded (power-of-two lock shards selected by hashed key,
 // per-shard second-chance eviction) so concurrent sweeps scale with the
 // core count instead of serializing on one mutex, and a full cache sheds
-// cold entries one at a time instead of wiping the hot working set;
-// BenchmarkFreqCacheSharded prices the difference against the
-// single-lock clear-all baseline.
+// cold entries one at a time instead of wiping the hot working set.
 //
-// Misses are coalesced through a singleflight table (singleflight.go):
-// when concurrent requests miss the same key, one computes while the
-// rest wait and share the result — under duplicate-heavy traffic a hot
-// key costs one CountTypes per miss instead of one per requester.
+// Misses are coalesced inside the cache shards (singleflight.go): when
+// concurrent requests miss the same key, one computes while the rest
+// wait and share the result — under duplicate-heavy traffic a hot key
+// costs one CountTypes per miss instead of one per requester.
 //
 // Service is safe for concurrent use.
 type Service struct {
 	city  *City
-	cache freqCache // nil when caching is disabled
-	sf    *inflight // nil when singleflight (or caching) is disabled
+	cache *shardedCache // nil when caching is disabled
 
 	// storeRejected/storeWarmed count tiered-store snapshot loads
 	// (store.go): entries seeded into the cache, and snapshots refused
@@ -173,16 +170,8 @@ func NewService(city *City, maxCache int) *Service {
 	s := &Service{city: city}
 	if maxCache > 0 {
 		s.cache = newShardedCache(maxCache)
-		s.sf = newInflight()
 	}
 	return s
-}
-
-// newServiceWithCache wires an explicit cache implementation — the hook
-// the ablation benchmark uses to run the same workload through the
-// sharded cache and the single-lock baseline.
-func newServiceWithCache(city *City, cache freqCache) *Service {
-	return &Service{city: city, cache: cache}
 }
 
 // City returns the underlying city.
@@ -220,19 +209,21 @@ func (s *Service) FreqInto(out poi.FreqVector, l geo.Point, r float64) {
 		return
 	}
 	key := freqKey{x: l.X, y: l.Y, r: r}
-	if b, ok := s.cache.get(key); ok {
+	sh := s.cache.shardFor(key)
+	b, c, lead := sh.lookup(key)
+	switch {
+	case c == nil:
 		unpackFreq(out, b)
-		return
+	case lead:
+		s.lead(sh, c, out, key, l, r)
+	default:
+		s.join(c, out, key, l, r)
 	}
-	s.freqMiss(out, key, l, r)
 }
 
 // CacheStats returns the number of cache hits and misses so far.
 func (s *Service) CacheStats() (hits, misses uint64) {
-	if s.cache == nil {
-		return 0, 0
-	}
-	m := s.cache.metrics()
+	m := s.CacheMetrics()
 	return m.Hits, m.Misses
 }
 
@@ -243,5 +234,6 @@ func (s *Service) CacheMetrics() CacheMetrics {
 	if s.cache == nil {
 		return CacheMetrics{}
 	}
-	return s.cache.metrics()
+	m, _ := s.cache.metrics()
+	return m
 }

@@ -35,7 +35,7 @@ func instrument(city *City) *countingIndex {
 // TestSingleflightCollapsesConcurrentMisses is the torture test: rounds
 // of fresh keys, each hammered by many goroutines released together, and
 // every round must cost exactly one CountTypes per key. Run under -race
-// this is also the inflight table's data-race proof.
+// this is also the in-flight calls' data-race proof.
 func TestSingleflightCollapsesConcurrentMisses(t *testing.T) {
 	city := cacheCity(t, 3000, 40)
 	ci := instrument(city)
@@ -114,8 +114,8 @@ func (p *panicOnceIndex) CountTypes(out poi.FreqVector, center geo.Point, radius
 // TestSingleflightLeaderPanicDoesNotPoisonWaiters arranges a leader
 // whose compute panics while joiners wait on it: the panic must reach
 // only the leader's caller, every joiner must fall back and return the
-// correct vector, and the inflight table must not leak the dead call
-// (a later request for the key must succeed normally).
+// correct vector, and the shard must not leak the dead call (a later
+// request for the key must succeed normally).
 func TestSingleflightLeaderPanicDoesNotPoisonWaiters(t *testing.T) {
 	city := cacheCity(t, 2000, 30)
 	want := NewService(city, 0).Freq(geo.Point{X: 5000, Y: 5000}, 800)
@@ -198,29 +198,6 @@ func TestSingleflightWaiterMutationIsolated(t *testing.T) {
 	}
 	if f := svc.Freq(l, 900); !f.Equal(want) {
 		t.Errorf("cache corrupted by waiter mutation: got %v want %v", f, want)
-	}
-}
-
-// TestSingleflightDisabled proves SetSingleflight(false) reverts to the
-// independent-compute behavior and the toggle round-trips.
-func TestSingleflightDisabled(t *testing.T) {
-	city := cacheCity(t, 1000, 20)
-	ci := instrument(city)
-	svc := NewService(city, 1<<10)
-	svc.SetSingleflight(false)
-	l := geo.Point{X: 3000, Y: 3000}
-	svc.Freq(l, 500)
-	svc.Freq(l, 500)
-	if got := ci.n.Load(); got != 1 {
-		t.Errorf("%d computes, want 1 (cache still works without singleflight)", got)
-	}
-	if m := svc.SingleflightMetrics(); m != (SingleflightMetrics{}) {
-		t.Errorf("disabled singleflight recorded %+v", m)
-	}
-	svc.SetSingleflight(true)
-	svc.Freq(geo.Point{X: 4000, Y: 4000}, 500)
-	if m := svc.SingleflightMetrics(); m.Leader != 1 {
-		t.Errorf("re-enabled singleflight recorded leader=%d, want 1", m.Leader)
 	}
 }
 

@@ -161,7 +161,7 @@ func TestStoreWarmStartOverflowKeepsHottest(t *testing.T) {
 	for _, e := range svc.HotEntries(1 << 30) {
 		live[freqKey{x: e.L.X, y: e.L.Y, r: e.R}] = true
 	}
-	c := svc.cache.(*shardedCache)
+	c := svc.cache
 	seen := make([]int, len(c.shards)) // a shard's entries so far, hottest first
 	for i, e := range entries {
 		k := freqKey{x: e.L.X, y: e.L.Y, r: e.R}

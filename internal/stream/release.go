@@ -108,15 +108,24 @@ type Releaser struct {
 	cfg   ReleaserConfig
 	src   *rng.Source
 
-	mu      sync.Mutex
-	ticks   uint64
-	history []WindowRelease
+	// tickMu serializes Tick and guards the charge memo. A tick holds
+	// it while it charges budgets and computes every window event's
+	// vector.
+	tickMu sync.Mutex
 	// chargeTick/charged memoize the durable spend decisions already
 	// made for the in-progress tick, so a Tick retried after a mid-loop
 	// Spend failure skips the principals it already charged instead of
 	// double-spending them for one window.
 	chargeTick uint64
 	charged    map[string]bool // principal → allowed
+
+	// mu guards the published state. Tick takes it only to publish, so
+	// Ticks and History (and through them /v1/metrics and the public
+	// releases) never wait for a tick's computation. Tick writes ticks
+	// under both locks, so it may read ticks under tickMu alone.
+	mu      sync.Mutex
+	ticks   uint64
+	history []WindowRelease
 
 	released  obs.Counter
 	denials   obs.Counter
@@ -167,8 +176,8 @@ func (r *Releaser) Config() ReleaserConfig { return r.cfg }
 // noise source for tick k is Split(k) off the seeded root, independent
 // of wall time.
 func (r *Releaser) Tick(now time.Time) (WindowRelease, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.tickMu.Lock()
+	defer r.tickMu.Unlock()
 
 	active := r.store.ActiveAt(now)
 	rel := WindowRelease{Tick: r.ticks, Time: now.UTC()}
@@ -244,12 +253,14 @@ func (r *Releaser) Tick(now time.Time) (WindowRelease, error) {
 		rel.Freq = freq
 	}
 
+	r.mu.Lock()
 	r.ticks++
 	r.charged = nil // the tick published; its charge memo is spent
 	r.history = append(r.history, rel)
 	if len(r.history) > r.cfg.History {
 		r.history = append(r.history[:0], r.history[len(r.history)-r.cfg.History:]...)
 	}
+	r.mu.Unlock()
 	r.released.Inc()
 	r.lastUsers.Set(int64(rel.Users))
 	return rel, nil

@@ -15,6 +15,7 @@ import (
 	"poiagg/internal/cloak"
 	"poiagg/internal/defense"
 	"poiagg/internal/gsp"
+	"poiagg/internal/obs"
 )
 
 var (
@@ -541,6 +542,55 @@ func TestTickRetrySkipsChargedPrincipals(t *testing.T) {
 	}
 	if d := rg.led.Status("acme"); d.SpentEps != 1.0 {
 		t.Errorf("acme spent %v after second window, want 1.0", d.SpentEps)
+	}
+}
+
+// TestTickDoesNotBlockReaders parks a tick inside its first budget
+// charge and reads the releaser's published state meanwhile: History
+// and a metrics snapshot, which samples Ticks, must answer without
+// waiting for the tick.
+func TestTickDoesNotBlockReaders(t *testing.T) {
+	pol := &budget.Policy{LifetimeEps: 10, LifetimeDelta: 0.5}
+	rg := newRig(t, 3, pol)
+	rg.feed(t, 2)
+	realSpend := rg.rel.spend
+	parked, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	rg.rel.spend = func(p string, eps, delta float64) (budget.Decision, error) {
+		once.Do(func() {
+			close(parked)
+			<-resume
+		})
+		return realSpend(p, eps, delta)
+	}
+	reg := obs.NewRegistry()
+	rg.rel.ExportMetrics(reg)
+
+	tickErr := make(chan error, 1)
+	go func() {
+		_, err := rg.rel.Tick(baseTime.Add(time.Minute))
+		tickErr <- err
+	}()
+	<-parked
+	read := make(chan obs.Snapshot, 1)
+	go func() {
+		rg.rel.History(0)
+		read <- reg.Snapshot()
+	}()
+	select {
+	case snap := <-read:
+		if got := snap.Counters[MetricTicks]; got != 0 {
+			t.Errorf("%s = %d while the first tick is parked, want 0", MetricTicks, got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("History and the metrics snapshot still wait for a parked tick after 2s")
+	}
+	close(resume)
+	if err := <-tickErr; err != nil {
+		t.Fatal(err)
+	}
+	if got := rg.rel.Ticks(); got != 1 {
+		t.Errorf("Ticks = %d after the parked tick finished, want 1", got)
 	}
 }
 
