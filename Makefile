@@ -133,11 +133,12 @@ loadtest-stream:
 # loadtest-churn rehearses a live fleet transition: 3 per-shard-cache
 # GSP shards behind the gateway, with one retired through the
 # membership admin API at a third of the run and a brand-new cold shard
-# admitted — pre-warmed by the gateway over the moved cells — at two
-# thirds, writing LOADTEST_churn.json. The churn block's per-phase
-# latency quantiles and effective hit rates are the measurement: the
-# departed→rejoined dip is the cost of rebalancing, and -assert fails
-# the run if any phase stalls or the joiner was admitted cold.
+# admitted — after the gateway's city check — at two thirds, writing
+# LOADTEST_churn.json. Traffic queries loadgen's ordinary uniform
+# locations. The churn block's per-phase latency quantiles and
+# effective hit rates are the measurement: the departed→rejoined dip is
+# the cost of rebalancing onto a cold shard, and -assert fails the run
+# if a transition did not happen or any phase stalls.
 loadtest-churn:
 	$(GO) run ./cmd/loadgen -inprocess -assert -quiet \
 		-targets freq -profile membership-churn -cluster 3 \

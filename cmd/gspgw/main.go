@@ -16,9 +16,10 @@
 //
 // With -replicas N > 1 each single GET races up to N ring successors
 // first-wins, hedged after -hedge-delay. Membership is dynamic: the
-// /v1/cluster/peers admin surface joins shards (readiness probe plus a
-// -warm-radius/-warm-max-cells cache pre-warm first) and retires them
-// without a restart; under -auth-keys only -admin-principal may mutate.
+// /v1/cluster/peers admin surface joins shards (after a readiness probe
+// and a byte-for-byte check that the shard serves the fleet's city) and
+// retires them without a restart; under -auth-keys only
+// -admin-principal may mutate.
 //
 // Usage:
 //
@@ -67,8 +68,6 @@ type config struct {
 	replicas      int
 	hedgeDelay    time.Duration
 	adminPr       string
-	warmRadius    float64
-	warmMaxCells  int
 	peerRetries   int
 	peerTimeout   time.Duration
 	peerAuthKey   string
@@ -89,8 +88,6 @@ func declareFlags(fs *flag.FlagSet) (*config, *string) {
 	fs.IntVar(&cfg.replicas, "replicas", 1, "replicas raced per single GET, first answer wins (1 = primary only)")
 	fs.DurationVar(&cfg.hedgeDelay, "hedge-delay", wire.DefaultHedgeDelay, "wait before hedging a replicated GET to the next replica")
 	fs.StringVar(&cfg.adminPr, "admin-principal", "", "principal allowed to mutate /v1/cluster/peers when -auth-keys is set (unset = mutations refused)")
-	fs.Float64Var(&cfg.warmRadius, "warm-radius", 0, "query radius for pre-warming a joining shard's cells (0 = the cell size)")
-	fs.IntVar(&cfg.warmMaxCells, "warm-max-cells", wire.DefaultWarmMaxCells, "max cells one join pre-warms (0 disables pre-warming)")
 	fs.IntVar(&cfg.peerRetries, "peer-retries", 2, "retry budget per shard call")
 	fs.DurationVar(&cfg.peerTimeout, "peer-timeout", 5*time.Second, "per-attempt timeout for shard calls")
 	fs.StringVar(&cfg.peerAuthKey, "peer-auth-key", "", "principal=hexkey the gateway signs shard calls with (for auth-enabled shards)")
@@ -131,8 +128,6 @@ func buildGateway(cfg *config, logger *log.Logger) (*wire.ClusterGateway, error)
 		wire.WithReplicas(cfg.replicas),
 		wire.WithHedgeDelay(cfg.hedgeDelay),
 		wire.WithClusterAdmin(cfg.adminPr),
-		wire.WithWarmRadius(cfg.warmRadius),
-		wire.WithWarmMaxCells(cfg.warmMaxCells),
 		wire.WithMaxRadius(cfg.maxRadius),
 		wire.WithMaxBatch(cfg.maxBatch),
 	)

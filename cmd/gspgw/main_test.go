@@ -37,7 +37,7 @@ func TestParseConfig(t *testing.T) {
 	if cfg.probeInterval != 500*time.Millisecond {
 		t.Errorf("probeInterval = %v", cfg.probeInterval)
 	}
-	if cfg.replicas != 1 || cfg.hedgeDelay != wire.DefaultHedgeDelay || cfg.warmMaxCells != wire.DefaultWarmMaxCells {
+	if cfg.replicas != 1 || cfg.hedgeDelay != wire.DefaultHedgeDelay {
 		t.Errorf("replica defaults: %+v", cfg)
 	}
 }
@@ -48,17 +48,12 @@ func TestParseConfigReplicaFlags(t *testing.T) {
 		"-replicas", "3",
 		"-hedge-delay", "25ms",
 		"-admin-principal", "ops",
-		"-warm-radius", "750",
-		"-warm-max-cells", "128",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.replicas != 3 || cfg.hedgeDelay != 25*time.Millisecond || cfg.adminPr != "ops" {
 		t.Errorf("cfg = %+v", cfg)
-	}
-	if cfg.warmRadius != 750 || cfg.warmMaxCells != 128 {
-		t.Errorf("warm cfg = %+v", cfg)
 	}
 }
 
@@ -170,8 +165,6 @@ func TestFlagSurface(t *testing.T) {
 		"replicas=1",
 		"stats-interval=1m0s",
 		"vnodes=128",
-		"warm-max-cells=4096",
-		"warm-radius=0",
 	}
 	fs := flag.NewFlagSet("gspgw", flag.ContinueOnError)
 	declareFlags(fs)

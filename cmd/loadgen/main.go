@@ -31,10 +31,9 @@
 // freq target) rehearses a fleet transition live: each shard gets its
 // own GSP service (so caches are per-shard, as in a real fleet), the
 // run retires one shard through the gateway's membership admin API at
-// one third of the duration and admits a brand-new cold shard — cache
-// pre-warmed by the gateway — at two thirds. Traffic queries routing
-// cell centers at the gateway's warm radius, so the pre-warm replays
-// exactly the keys live traffic asks for, and the report gains a
+// one third of the duration and admits a brand-new cold shard, which
+// the gateway first checks serves the same city, at two thirds. Traffic
+// queries loadgen's ordinary uniform locations, and the report gains a
 // "churn" block with per-phase latency quantiles and cache hit rates:
 // the dip and recovery across the transitions is the measurement.
 //
@@ -82,7 +81,6 @@ import (
 
 	"poiagg/internal/citygen"
 	"poiagg/internal/cloak"
-	"poiagg/internal/cluster"
 	"poiagg/internal/defense"
 	"poiagg/internal/geo"
 	"poiagg/internal/gsp"
@@ -172,13 +170,10 @@ type ChurnStats struct {
 	// Victim is the shard retired at one third of the run.
 	Victim string `json:"victim"`
 	// Joiner is the cold shard admitted at two thirds.
-	Joiner string `json:"joiner"`
-	// PrewarmedCells counts the cells the gateway replayed into the
-	// joiner before routing to it (cluster.warm.cells).
-	PrewarmedCells uint64  `json:"prewarmedCells"`
-	Joins          uint64  `json:"joins"`
-	Leaves         uint64  `json:"leaves"`
-	JoinMs         float64 `json:"joinMs"` // admit latency, pre-warm included
+	Joiner string  `json:"joiner"`
+	Joins  uint64  `json:"joins"`
+	Leaves uint64  `json:"leaves"`
+	JoinMs float64 `json:"joinMs"` // admit latency, city check included
 	// Phases reports the freq target per transition window: steady
 	// (full fleet), departed (victim gone), rejoined (cold shard in).
 	Phases []ChurnPhase `json:"phases"`
@@ -193,8 +188,8 @@ type ChurnPhase struct {
 	Latency         obs.LatencySnapshot `json:"latency"`
 	// HitRate is the fleet-wide freq-cache hit fraction during this
 	// phase (0 when the phase saw no cache traffic). The
-	// departed→rejoined dip is the cost of rebalancing; pre-warm is what
-	// keeps the rejoined rate up.
+	// departed→rejoined dip is the cost of rebalancing onto a cold
+	// shard.
 	HitRate float64 `json:"hitRate"`
 }
 
@@ -279,7 +274,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.Float64Var(&cfg.radius, "radius", 900, "query radius in meters")
 	fs.StringVar(&cfg.city, "city", "beijing", "city preset (must match the daemons': beijing or nyc)")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "city generation seed (must match the daemons')")
-	fs.StringVar(&cfg.profile, "profile", "uniform", "load profile: uniform; dup-hot (zipf-skewed hot keys whose radius rotates every -dup-epoch, so each rotation is a stampede of concurrent misses on the same keys); stream (ingest target only: the user cohort rotates every -stream-burst, flooding the window store with fresh users); membership-churn (-cluster >= 2 with the freq target: retire a shard at T/3, admit a pre-warmed cold one at 2T/3 and serve T/3 past the join, reporting per-phase latency, hit rate and the join's latency)")
+	fs.StringVar(&cfg.profile, "profile", "uniform", "load profile: uniform; dup-hot (zipf-skewed hot keys whose radius rotates every -dup-epoch, so each rotation is a stampede of concurrent misses on the same keys); stream (ingest target only: the user cohort rotates every -stream-burst, flooding the window store with fresh users); membership-churn (-cluster >= 2 with the freq target: retire a shard at T/3, admit a cold one at 2T/3 and serve T/3 past the join, reporting per-phase latency, hit rate and the join's latency)")
 	fs.Float64Var(&cfg.zipfS, "zipf-s", 1.1, "dup-hot profile: zipf exponent (higher = more skew)")
 	fs.DurationVar(&cfg.dupEpoch, "dup-epoch", 500*time.Millisecond, "dup-hot profile: radius rotation period")
 	fs.IntVar(&cfg.streamUsers, "stream-users", 256, "ingest target: synthetic users per cohort (also sizes the in-process window store)")
@@ -490,7 +485,7 @@ func (c *churnRun) addShard(s *gsp.Service) {
 // sumCache sums the freq-cache hit/miss counters across every shard,
 // retired ones included (their counters freeze, so deltas stay
 // correct). A miss is a request that reached a real CountTypes
-// computation: what a cold joiner pays and the gateway's pre-warm saves.
+// computation: what a cold joiner pays.
 func (c *churnRun) sumCache() cacheMark {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -515,27 +510,6 @@ func (c *churnRun) failure() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
-}
-
-// churnCells returns the distinct routing-cell centers covering the
-// sampled locations. The churn profile queries exactly these points at
-// the gateway's warm radius: the freq cache keys exact coordinates, so
-// this makes the gateway's pre-warm replay the very keys live traffic
-// asks for — the whole point of warming a joiner.
-func churnCells(locs []geo.Point) []geo.Point {
-	const cs = cluster.DefaultCellSize
-	seen := make(map[[2]int]bool, len(locs))
-	out := make([]geo.Point, 0, len(locs))
-	for _, l := range locs {
-		cx, cy := cluster.CellOf(l.X, l.Y, cs)
-		k := [2]int{cx, cy}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, geo.Point{X: (float64(cx) + 0.5) * cs, Y: (float64(cy) + 0.5) * cs})
-	}
-	return out
 }
 
 // targetStats accumulates one endpoint's outcomes; all fields are safe
@@ -682,13 +656,8 @@ func run(args []string, stdout io.Writer) error {
 			}
 			gwOpts = append(gwOpts, wire.WithPeerClientOptions(peerOpts...))
 			if churnMode {
-				// Warm radius = the traffic radius, so the joiner's
-				// pre-warmed cache entries are exactly the keys live load
-				// queries (churnCells aims traffic at cell centers).
 				clusterReg = obs.NewRegistry()
-				gwOpts = append(gwOpts,
-					wire.WithMetrics(clusterReg),
-					wire.WithWarmRadius(cfg.radius))
+				gwOpts = append(gwOpts, wire.WithMetrics(clusterReg))
 				if signKey != nil {
 					gwOpts = append(gwOpts, wire.WithClusterAdmin(signPrincipal))
 				}
@@ -757,12 +726,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		zipf = newZipfPicker(len(hotLocs), cfg.zipfS)
 	}
-	// membership-churn: traffic queries routing-cell centers so the
-	// joiner's pre-warm replays the exact keys under load.
-	var churnLocs []geo.Point
-	if churn != nil {
-		churnLocs = churnCells(locs)
-	}
 	epochStart := time.Now()
 
 	doOne := func(workerID, seq int, rng *rand.Rand) {
@@ -780,9 +743,6 @@ func run(args []string, stdout io.Writer) error {
 			l := locs[rng.IntN(len(locs))]
 			if zipf != nil {
 				l = hotLocs[zipf.pick(rng)]
-			}
-			if churnLocs != nil {
-				l = churnLocs[rng.IntN(len(churnLocs))]
 			}
 			_, err = gspClient.Freq(ctx, l, radius)
 		case "batch":
@@ -853,7 +813,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	// Traffic runs for -duration, or until the churn controller ends it:
 	// retire the victim through the admin API at T/3 (then kill its
-	// server), admit a brand-new cold shard, which the gateway pre-warms,
+	// server), admit a brand-new cold shard, which the gateway checks,
 	// at 2T/3, and serve T/3 more once the join returns. Admin calls have
 	// their own -timeout deadline: a slow join lengthens the run.
 	var traffic context.Context
@@ -941,12 +901,11 @@ func run(args []string, stdout io.Writer) error {
 	if churn != nil {
 		snap := clusterReg.Snapshot()
 		cs := &ChurnStats{
-			Victim:         churn.victim,
-			Joiner:         churn.joiner,
-			PrewarmedCells: snap.Counters[wire.MetricClusterWarmCells],
-			Joins:          snap.Counters[wire.MetricClusterJoins],
-			Leaves:         snap.Counters[wire.MetricClusterLeaves],
-			JoinMs:         float64(churn.join) / float64(time.Millisecond),
+			Victim: churn.victim,
+			Joiner: churn.joiner,
+			Joins:  snap.Counters[wire.MetricClusterJoins],
+			Leaves: snap.Counters[wire.MetricClusterLeaves],
+			JoinMs: float64(churn.join) / float64(time.Millisecond),
 		}
 		for i, name := range churnPhaseNames {
 			ps := churn.phases[i]
@@ -1003,9 +962,6 @@ func run(args []string, stdout io.Writer) error {
 		if c := report.Churn; c != nil {
 			if c.Leaves == 0 || c.Joins == 0 {
 				return fmt.Errorf("assert: churn transitions did not run (joins=%d leaves=%d)", c.Joins, c.Leaves)
-			}
-			if c.PrewarmedCells == 0 {
-				return errors.New("assert: the joiner was admitted without pre-warming any cells")
 			}
 			for _, p := range c.Phases {
 				if p.OK == 0 {

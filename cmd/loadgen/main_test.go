@@ -174,9 +174,9 @@ func TestLoadgenStreamProfile(t *testing.T) {
 }
 
 // TestLoadgenMembershipChurnProfile runs the three-phase fleet
-// transition: the report must show the victim retired, a pre-warmed
-// cold joiner admitted, and progress in every phase with no transport
-// errors across either transition.
+// transition: the report must show the victim retired, a cold joiner
+// admitted, and progress in every phase with no transport errors across
+// either transition.
 func TestLoadgenMembershipChurnProfile(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "run.json")
 	err := run([]string{
@@ -198,9 +198,6 @@ func TestLoadgenMembershipChurnProfile(t *testing.T) {
 	}
 	if c.Joins != 1 || c.Leaves != 1 {
 		t.Errorf("joins=%d leaves=%d, want exactly one of each", c.Joins, c.Leaves)
-	}
-	if c.PrewarmedCells == 0 {
-		t.Error("the joiner was admitted without pre-warmed cells")
 	}
 	if c.Victim == "" || c.Joiner == "" || c.Victim == c.Joiner {
 		t.Errorf("victim=%q joiner=%q", c.Victim, c.Joiner)

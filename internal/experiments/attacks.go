@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"time"
 
 	"poiagg/internal/attack"
@@ -59,9 +61,12 @@ func Fig2(env *Env) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Sum in type order: map order would change the float sum's
+			// low bits from run to run.
+			acc := rec.ValidationAccuracy()
 			var accs []float64
-			for _, a := range rec.ValidationAccuracy() {
-				accs = append(accs, a)
+			for _, typ := range slices.Sorted(maps.Keys(acc)) {
+				accs = append(accs, acc[typ])
 			}
 			mean, std := stats.MeanStd(accs)
 			s.X = append(s.X, r/1000)

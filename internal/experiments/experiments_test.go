@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -72,6 +73,21 @@ func TestFig2(t *testing.T) {
 		for i, y := range s.Y {
 			if y < 0.85 {
 				t.Errorf("%s accuracy at r=%.1f is %v", s.Name, s.X[i], y)
+			}
+		}
+	}
+	// The figure is a pure function of the cached recoverers, so repeat
+	// calls must reproduce every value bit for bit.
+	for rep := 0; rep < 20; rep++ {
+		again, err := Fig2(sharedEnv())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, s := range fig.Series {
+			for i, y := range s.Y {
+				if got := again.Series[si].Y[i]; math.Float64bits(got) != math.Float64bits(y) {
+					t.Fatalf("repeat %d: %s at r=%.1f is %v, first call %v", rep, s.Name, s.X[i], got, y)
+				}
 			}
 		}
 	}

@@ -460,7 +460,7 @@ func (c *GSPClient) ClusterPeers(ctx context.Context) (*ClusterPeersResponse, er
 
 // ClusterJoin asks a cluster gateway to admit the shard at peerURL and
 // returns the post-join membership. The gateway probes the shard's
-// readiness and pre-warms its incoming cells before it takes
+// readiness and checks that it serves the fleet's city before it takes
 // ownership; under auth the caller must sign as the gateway's admin
 // principal.
 func (c *GSPClient) ClusterJoin(ctx context.Context, peerURL string) (*ClusterPeersResponse, error) {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"poiagg/internal/cluster"
-	"poiagg/internal/geo"
 	"poiagg/internal/obs"
 )
 
@@ -54,10 +53,8 @@ const (
 	// MetricClusterJoins / Leaves count admin membership changes.
 	MetricClusterJoins  = "cluster.membership.joins"
 	MetricClusterLeaves = "cluster.membership.leaves"
-	// MetricClusterWarmCells counts cells replayed into joining shards;
-	// MetricClusterWarmErrors counts aborted pre-warm passes.
-	MetricClusterWarmCells  = "cluster.warm.cells"
-	MetricClusterWarmErrors = "cluster.warm.errors"
+	// MetricClusterJoinErrors counts joins the city check refused.
+	MetricClusterJoinErrors = "cluster.membership.join_errors"
 )
 
 // DefaultProbeInterval is the health-probe cadence unless
@@ -71,11 +68,6 @@ const DefaultProbeTimeout = time.Second
 // replica before hedging to the next one. Well above a healthy
 // in-datacenter RTT, so the common case stays one RPC.
 const DefaultHedgeDelay = 50 * time.Millisecond
-
-// DefaultWarmMaxCells caps the cells replayed into a joining shard by
-// one pre-warm pass; cells beyond the cap are logged and skipped, and
-// simply warm up from live traffic instead.
-const DefaultWarmMaxCells = 4096
 
 // clusterPeer is one gspd shard behind the gateway.
 type clusterPeer struct {
@@ -187,7 +179,7 @@ func (t *peerTable) remove(url string) (*clusterPeer, bool) {
 // removes dead peers and re-adds recovered ones.
 //
 // Membership is dynamic: POST /v1/cluster/peers joins a shard (after a
-// readiness probe and a cache pre-warm of its incoming cells) and
+// readiness probe and a check that it serves the fleet's city) and
 // DELETE /v1/cluster/peers/{url} retires one, both without a restart.
 //
 // ClusterGateway is an http.Handler, and ListenAndServe runs it as a
@@ -220,8 +212,6 @@ type gatewaySettings struct {
 	hedgeDelay time.Duration
 
 	adminPrincipal string
-	warmRadius     float64
-	warmMaxCells   int
 
 	peerTransport http.RoundTripper
 	peerOpts      []ClientOption
@@ -312,28 +302,6 @@ func WithHedgeDelay(d time.Duration) ServerOption {
 // mutations are refused (fail closed). Only the gateway reads it.
 func WithClusterAdmin(principal string) ServerOption {
 	return func(st *serverSettings) { st.gw.adminPrincipal = principal }
-}
-
-// WithWarmRadius sets the query radius used when pre-warming a joining
-// shard's cells (default: the routing cell size).
-// Only the gateway reads it.
-func WithWarmRadius(m float64) ServerOption {
-	return func(st *serverSettings) {
-		if m > 0 {
-			st.gw.warmRadius = m
-		}
-	}
-}
-
-// WithWarmMaxCells caps the cells one join pre-warms (default
-// DefaultWarmMaxCells); 0 disables pre-warming entirely.
-// Only the gateway reads it.
-func WithWarmMaxCells(n int) ServerOption {
-	return func(st *serverSettings) {
-		if n >= 0 {
-			st.gw.warmMaxCells = n
-		}
-	}
 }
 
 // WithPeerTransport sets the http.RoundTripper under every per-shard
@@ -444,8 +412,7 @@ func (g *ClusterGateway) exportMetrics() {
 	g.reg.Counter(MetricClusterReplicaSecondaryWins)
 	g.reg.Counter(MetricClusterJoins)
 	g.reg.Counter(MetricClusterLeaves)
-	g.reg.Counter(MetricClusterWarmCells)
-	g.reg.Counter(MetricClusterWarmErrors)
+	g.reg.Counter(MetricClusterJoinErrors)
 	for _, p := range g.table.snapshot() {
 		g.exportPeerMetrics(p)
 	}
@@ -813,10 +780,10 @@ func (g *ClusterGateway) handlePeersList(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusOK, g.peersResponse())
 }
 
-// handlePeerJoin admits a new shard: probe its readiness, pre-warm the
-// cells the ring will move onto it, then atomically add it to the
-// table, metrics, and ring. The member mutex serializes joins and
-// leaves so two admins cannot interleave half-applied membership.
+// handlePeerJoin admits a new shard: probe its readiness, check that it
+// serves the fleet's city, then atomically add it to the table,
+// metrics, and ring. The member mutex serializes joins and leaves so
+// two admins cannot interleave half-applied membership.
 func (g *ClusterGateway) handlePeerJoin(w http.ResponseWriter, r *http.Request) {
 	if !g.authorizeClusterAdmin(w, r) {
 		return
@@ -846,15 +813,15 @@ func (g *ClusterGateway) handlePeerJoin(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadGateway, "cluster join: readiness probe failed: "+u)
 		return
 	}
-	if err := g.prewarm(r.Context(), p); err != nil {
-		g.reg.Counter(MetricClusterWarmErrors).Inc()
+	if err := g.checkCity(r.Context(), p); err != nil {
+		g.reg.Counter(MetricClusterJoinErrors).Inc()
 		status := http.StatusBadGateway
-		if errors.Is(err, errWarmMismatch) {
-			// The joiner answers differently than the fleet — wrong city
-			// or wrong dataset. Admitting it would break byte-identity.
+		if errors.Is(err, errCityMismatch) {
+			// The joiner serves another city or dataset. Admitting it
+			// would break byte-identity.
 			status = http.StatusConflict
 		}
-		writeError(w, status, "cluster join: pre-warm failed: "+err.Error())
+		writeError(w, status, "cluster join: city check failed: "+err.Error())
 		return
 	}
 	g.table.add(p)
@@ -894,144 +861,57 @@ func (g *ClusterGateway) handlePeerLeave(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusOK, g.peersResponse())
 }
 
-// errWarmMismatch marks a pre-warm consistency failure: a donor and the
-// joiner answer a cell's frequency query with different bytes.
-var errWarmMismatch = errors.New("wire: pre-warm vector mismatch")
+// errCityMismatch marks a joiner whose bytes differ from the fleet's.
+var errCityMismatch = errors.New("the joiner serves another city")
 
-// prewarm replays the joining shard's incoming cells into its freq
-// cache before the ring moves them: for every cell the post-join ring
-// would assign to the joiner, the current owner (the donor) is asked
-// for the cell's frequency vector and the joiner is driven through the
-// same query — filling its cache so the join doesn't crater the fleet's
-// hit rate — and the two bodies are compared byte for byte, which
-// doubles as a consistency check that the joiner serves the same city.
-// Cells beyond warmMaxCells are skipped (they warm from live traffic);
-// any fetch error or mismatch aborts the join.
-func (g *ClusterGateway) prewarm(ctx context.Context, joiner *clusterPeer) error {
-	if g.warmMaxCells <= 0 {
-		return nil
-	}
-	members := g.ring.Peers()
-	if len(members) == 0 {
-		return nil
-	}
-	var stats *StatsResponse
-	var err error
-	for _, u := range members {
-		donor, ok := g.table.get(u)
-		if !ok || !donor.healthy.Load() {
-			continue
-		}
-		if stats, err = donor.client.Stats(ctx); err == nil {
+// checkCity compares the joiner's city with a healthy member's, byte for
+// byte, before the joiner takes ownership. The /v1/stats and /v1/pois
+// bodies are the whole city; one /v1/freq at the center of the city's
+// bounds puts the freq body encoder, whose bytes the gateway relays,
+// under the same check. With no healthy member there is nothing to
+// compare with, and the join proceeds. The returned error's text names
+// shards by index only, so it can go to the client; fetch errors are
+// logged in full.
+func (g *ClusterGateway) checkCity(ctx context.Context, joiner *clusterPeer) error {
+	var donor *clusterPeer
+	for _, u := range g.ring.Peers() {
+		if p, ok := g.table.get(u); ok && p.healthy.Load() {
+			donor = p
 			break
 		}
 	}
-	if stats == nil {
+	if donor == nil {
+		return nil
+	}
+	same := func(path string, params url.Values) (json.RawMessage, error) {
+		want, err := donor.get(ctx, path, params)
 		if err != nil {
-			return fmt.Errorf("wire: pre-warm: city bounds: %w", err)
+			g.log.Printf("cluster: city check: shard %d: GET %s: %v", donor.index, path, err)
+			return nil, fmt.Errorf("GET %s from shard %d failed", path, donor.index)
 		}
-		return nil // no healthy donor; nothing to warm from
-	}
-
-	// The moved-cell set is pure ring arithmetic: rebuild the current
-	// membership on scratch rings with and without the joiner and diff
-	// the ownership over the city's cell grid.
-	before := cluster.New(g.vnodes)
-	after := cluster.New(g.vnodes)
-	for _, u := range members {
-		before.Add(u)
-		after.Add(u)
-	}
-	after.Add(joiner.url)
-
-	type cellJob struct {
-		l     geo.Point
-		donor *clusterPeer
-	}
-	var jobs []cellJob
-	dropped := 0
-	cs := g.cellSize
-	x0, y0 := cluster.CellOf(stats.Bounds.MinX, stats.Bounds.MinY, cs)
-	x1, y1 := cluster.CellOf(stats.Bounds.MaxX, stats.Bounds.MaxY, cs)
-	for cx := x0; cx <= x1; cx++ {
-		for cy := y0; cy <= y1; cy++ {
-			key := cluster.Key(g.cityLabel, cx, cy)
-			if newOwner, _ := after.Owner(key); newOwner != joiner.url {
-				continue
-			}
-			oldOwner, ok := before.Owner(key)
-			if !ok {
-				continue
-			}
-			donor, ok := g.table.get(oldOwner)
-			if !ok || !donor.healthy.Load() {
-				continue
-			}
-			if len(jobs) >= g.warmMaxCells {
-				dropped++
-				continue
-			}
-			jobs = append(jobs, cellJob{
-				l:     geo.Point{X: (float64(cx) + 0.5) * cs, Y: (float64(cy) + 0.5) * cs},
-				donor: donor,
-			})
+		got, err := joiner.get(ctx, path, params)
+		if err != nil {
+			g.log.Printf("cluster: city check: joiner %s: GET %s: %v", joiner.url, path, err)
+			return nil, fmt.Errorf("GET %s from the joiner failed", path)
 		}
-	}
-	if dropped > 0 {
-		g.log.Printf("cluster: pre-warm for %s capped at %d cells (%d skipped, will warm from traffic)",
-			joiner.url, g.warmMaxCells, dropped)
-	}
-	radius := g.warmRadius
-	if radius <= 0 {
-		radius = cs
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	sem := make(chan struct{}, 8)
-	for _, jb := range jobs {
-		mu.Lock()
-		abort := firstErr != nil
-		mu.Unlock()
-		if abort {
-			break
+		if !bytes.Equal(want, got) {
+			return nil, fmt.Errorf("%w: GET %s differs from shard %d's", errCityMismatch, path, donor.index)
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(jb cellJob) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			params := locationParams(jb.l, radius)
-			want, err := jb.donor.get(ctx, PathFreq, params)
-			if err == nil {
-				var got json.RawMessage
-				if got, err = joiner.get(ctx, PathFreq, params); err == nil && !bytes.Equal(want, got) {
-					err = fmt.Errorf("%w: cell (%.0f, %.0f): joiner disagrees with donor %s",
-						errWarmMismatch, jb.l.X, jb.l.Y, jb.donor.url)
-				}
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			g.reg.Counter(MetricClusterWarmCells).Inc()
-		}(jb)
+		return want, nil
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	body, err := same(PathStats, nil)
+	if err != nil {
+		return err
 	}
-	if len(jobs) > 0 {
-		g.log.Printf("cluster: pre-warmed %d cells into %s", len(jobs), joiner.url)
+	var stats StatsResponse
+	if err := json.Unmarshal(body, &stats); err != nil {
+		return fmt.Errorf("GET %s from shard %d: %w", PathStats, donor.index, err)
 	}
-	return nil
+	if _, err := same(PathPOIs, nil); err != nil {
+		return err
+	}
+	_, err = same(PathFreq, locationParams(stats.Bounds.Center(), g.cellSize))
+	return err
 }
 
 // shardBatch is one shard's slice of a batch fan-out: the items it

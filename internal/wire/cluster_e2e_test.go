@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +23,7 @@ import (
 	"poiagg/internal/geo"
 	"poiagg/internal/gsp"
 	"poiagg/internal/obs"
+	"poiagg/internal/poi"
 )
 
 // This file is the proof layer of the cluster gateway: a fleet of gspd
@@ -1149,8 +1152,7 @@ func TestClusterMembershipChurnDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("auth=%v", withAuth), func(t *testing.T) {
 			h := newClusterHarness(t, 2, withAuth,
 				WithReplicas(2),
-				WithClusterAdmin(adminPrincipal),
-				WithWarmMaxCells(64))
+				WithClusterAdmin(adminPrincipal))
 			spare := h.newShard(t)
 			surface := differentialSurface(t)
 			runSurface := func(stage string) {
@@ -1190,9 +1192,6 @@ func TestClusterMembershipChurnDifferential(t *testing.T) {
 			if got := snap.Counters[MetricClusterLeaves]; got != 1 {
 				t.Errorf("membership.leaves = %d, want 1", got)
 			}
-			if got := snap.Counters[MetricClusterWarmCells]; got < 1 {
-				t.Errorf("warm.cells = %d, want >= 1", got)
-			}
 			if got := snap.Counters[MetricClusterPeers]; got != 3 {
 				t.Errorf("cluster.peers = %d, want 3 after churn", got)
 			}
@@ -1200,62 +1199,33 @@ func TestClusterMembershipChurnDifferential(t *testing.T) {
 	}
 }
 
-// TestClusterPreWarmReplaysMovedCells proves the pre-warm protocol does
-// exactly what DESIGN.md says: for every cell the post-join ring moves
-// onto the joiner, the donor (the cell's current owner) is asked for
-// its frequency vector once and the joiner is driven through the same
-// query once — and nothing else is warmed.
-func TestClusterPreWarmReplaysMovedCells(t *testing.T) {
+// TestClusterJoinCityCheckProtocol pins what a join sends to the
+// fleet: after the joiner's readiness probe, exactly one GET of
+// /v1/stats, /v1/pois and /v1/freq (at the city's center, radius one
+// cell) to one donor, and the same three to the joiner — nothing else.
+func TestClusterJoinCityCheckProtocol(t *testing.T) {
 	h := newClusterHarness(t, 2, false)
 	spare := h.newShard(t)
 
-	// City bounds from the reference node, then the same scratch-ring
-	// arithmetic the gateway uses to compute the moved-cell set.
 	resp := h.send(t, h.single.URL, http.MethodGet, PathStats, nil, "", nil, time.Time{}, "")
 	var stats StatsResponse
 	if err := json.Unmarshal(resp.body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	before := cluster.New(cluster.DefaultVirtualNodes)
-	after := cluster.New(cluster.DefaultVirtualNodes)
-	for _, ts := range h.shards {
-		before.Add(ts.URL)
-		after.Add(ts.URL)
-	}
-	after.Add(spare.URL)
-	cs := cluster.DefaultCellSize
-	type warmReq struct{ host, query string }
-	expected := make(map[warmReq]int)
-	movedCells := 0
-	x0, y0 := cluster.CellOf(stats.Bounds.MinX, stats.Bounds.MinY, cs)
-	x1, y1 := cluster.CellOf(stats.Bounds.MaxX, stats.Bounds.MaxY, cs)
-	for cx := x0; cx <= x1; cx++ {
-		for cy := y0; cy <= y1; cy++ {
-			key := cluster.Key("", cx, cy)
-			if newOwner, _ := after.Owner(key); newOwner != spare.URL {
-				continue
-			}
-			donor, _ := before.Owner(key)
-			movedCells++
-			l := geo.Point{X: (float64(cx) + 0.5) * cs, Y: (float64(cy) + 0.5) * cs}
-			query := locationParams(l, cs).Encode()
-			expected[warmReq{hostOf(t, donor), query}]++
-			expected[warmReq{hostOf(t, spare.URL), query}]++
-		}
-	}
-	if movedCells == 0 {
-		t.Fatal("ring arithmetic moved no cells to the joiner")
-	}
+	freq := PathFreq + "?" + locationParams(stats.Bounds.Center(), cluster.DefaultCellSize).Encode()
+	donorWant := map[string]int{"GET " + PathStats: 1, "GET " + PathPOIs: 1, "GET " + freq: 1}
+	joinerWant := maps.Clone(donorWant)
+	joinerWant["GET "+obs.PathReadyz] = 1
 
 	var mu sync.Mutex
-	got := make(map[warmReq]int)
+	seen := make(map[string]map[string]int) // host → "METHOD path?query" → count
 	h.kill.observe(func(req *http.Request) {
-		if req.URL.Path != PathFreq {
-			return
-		}
 		mu.Lock()
-		got[warmReq{req.URL.Host, req.URL.Query().Encode()}]++
-		mu.Unlock()
+		defer mu.Unlock()
+		if seen[req.URL.Host] == nil {
+			seen[req.URL.Host] = make(map[string]int)
+		}
+		seen[req.URL.Host][req.Method+" "+req.URL.RequestURI()]++
 	})
 	if resp := h.adminSend(t, http.MethodPost, PathClusterPeers, joinBody(spare.URL), false, ""); resp.status != http.StatusOK {
 		t.Fatalf("join = %d (%s)", resp.status, resp.body)
@@ -1264,25 +1234,135 @@ func TestClusterPreWarmReplaysMovedCells(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	for want, n := range expected {
-		if got[want] != n {
-			t.Errorf("warm request %s?%s seen %d times, want %d", want.host, want.query, got[want], n)
-		}
+	joiner := hostOf(t, spare.URL)
+	if got := seen[joiner]; !maps.Equal(got, joinerWant) {
+		t.Errorf("joiner saw %v, want %v", got, joinerWant)
 	}
-	for seen := range got {
-		if _, ok := expected[seen]; !ok {
-			t.Errorf("unexpected warm request %s?%s", seen.host, seen.query)
+	delete(seen, joiner)
+	if len(seen) != 1 {
+		t.Fatalf("the join reached %d members, want one donor: %v", len(seen), seen)
+	}
+	for host, got := range seen {
+		if !maps.Equal(got, donorWant) {
+			t.Errorf("donor %s saw %v, want %v", host, got, donorWant)
 		}
 	}
 	snap := fetchSnapshot(t, h.gwTS.URL)
-	if got := snap.Counters[MetricClusterWarmCells]; got != uint64(movedCells) {
-		t.Errorf("warm.cells = %d, want %d", got, movedCells)
+	if got := snap.Counters[MetricClusterJoinErrors]; got != 0 {
+		t.Errorf("membership.join_errors = %d, want 0", got)
+	}
+	if got := snap.Counters[MetricClusterJoins]; got != 1 {
+		t.Errorf("membership.joins = %d, want 1", got)
 	}
 }
 
-// TestClusterJoinRejectsMismatchedCity: pre-warm doubles as a
-// consistency gate. A candidate shard serving a different city answers
-// the warm queries differently than its donors, so the join must be
+// TestClusterJoinDonorFailure: when the member the city check reads
+// from does not answer, the join is refused with 502, and the body names
+// the shard by index, never by URL.
+func TestClusterJoinDonorFailure(t *testing.T) {
+	h := newClusterHarness(t, 2, false)
+	spare := h.newShard(t)
+	for i := range h.shards {
+		h.killShard(t, i)
+	}
+	resp := h.adminSend(t, http.MethodPost, PathClusterPeers, joinBody(spare.URL), false, "")
+	if resp.status != http.StatusBadGateway {
+		t.Fatalf("join with a dead donor = %d, want 502 (%s)", resp.status, resp.body)
+	}
+	if !strings.Contains(string(resp.body), "city check failed") {
+		t.Errorf("502 body does not name the city check: %s", resp.body)
+	}
+	for _, s := range h.shards {
+		if strings.Contains(string(resp.body), hostOf(t, s.URL)) {
+			t.Errorf("502 body leaks a shard URL: %s", resp.body)
+		}
+	}
+	if h.gw.ring.Contains(spare.URL) {
+		t.Error("the joiner is on the ring")
+	}
+	if got := fetchSnapshot(t, h.gwTS.URL).Counters[MetricClusterJoinErrors]; got != 1 {
+		t.Errorf("membership.join_errors = %d, want 1", got)
+	}
+}
+
+// TestClusterJoinRejectsOnePOIDifference: a joiner whose city differs
+// from the fleet's by one retyped POI, lying more than a cell from
+// every cell center the join would move onto it, must still be refused.
+// Otherwise a query routed to the joiner whose disk covers that POI
+// answers differently than one gspd.
+func TestClusterJoinRejectsOnePOIDifference(t *testing.T) {
+	h := newClusterHarness(t, 3, false)
+	city, _ := wireFixture(t)
+	cs := cluster.DefaultCellSize
+	pois := city.City.POIs()
+
+	// The moved cells depend on the joiner's URL, so take its listener
+	// first and retry on another port if no POI lies far enough out.
+	var joiner *httptest.Server
+	var target int       // index of the POI to retype
+	var probe url.Values // a query at a moved cell center covering it
+	for attempt := 0; attempt < 8 && joiner == nil; attempt++ {
+		ts := httptest.NewUnstartedServer(nil)
+		joinURL := "http://" + ts.Listener.Addr().String()
+		after := cluster.New(cluster.DefaultVirtualNodes)
+		for _, s := range h.shards {
+			after.Add(s.URL)
+		}
+		after.Add(joinURL)
+		b := city.City.Bounds
+		x0, y0 := cluster.CellOf(b.MinX, b.MinY, cs)
+		x1, y1 := cluster.CellOf(b.MaxX, b.MaxY, cs)
+		var moved []geo.Point
+		for cx := x0; cx <= x1; cx++ {
+			for cy := y0; cy <= y1; cy++ {
+				if owner, _ := after.Owner(cluster.Key("", cx, cy)); owner == joinURL {
+					moved = append(moved, geo.Point{X: (float64(cx) + 0.5) * cs, Y: (float64(cy) + 0.5) * cs})
+				}
+			}
+		}
+		for i, p := range pois {
+			near, d := geo.Point{}, -1.0
+			for _, c := range moved {
+				if dc := geo.Dist(p.Pos, c); d < 0 || dc < d {
+					near, d = c, dc
+				}
+			}
+			if d > cs {
+				joiner, target, probe = ts, i, locationParams(near, math.Ceil(d)+1)
+				break
+			}
+		}
+		if joiner == nil {
+			ts.Close()
+		}
+	}
+	if joiner == nil {
+		t.Fatal("no POI lies more than a cell from every moved cell center")
+	}
+	pois[target].Type = (pois[target].Type + 1) % poi.TypeID(city.City.M())
+	alienCity, err := gsp.NewCity(city.City.Name, city.City.Bounds, city.City.Types, pois)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner.Config.Handler = NewGSPServer(gsp.NewService(alienCity, 1<<12), h.shardOpts...)
+	joiner.Start()
+	defer joiner.Close()
+
+	resp := h.adminSend(t, http.MethodPost, PathClusterPeers, joinBody(joiner.URL), false, "")
+	if resp.status != http.StatusConflict {
+		t.Errorf("join of a one-POI-different city = %d, want 409 (%s)", resp.status, resp.body)
+	}
+	if h.gw.ring.Contains(joiner.URL) {
+		t.Error("the joiner is on the ring")
+	}
+	if _, ok := h.gw.table.get(joiner.URL); ok {
+		t.Error("the joiner is in the peer table")
+	}
+	h.assertIdentical(t, http.MethodGet, PathFreq+"?"+probe.Encode(), nil, false)
+}
+
+// TestClusterJoinRejectsMismatchedCity: a candidate shard serving a
+// different city fails the join's city check, so the join must be
 // refused with a 409 and the fleet must keep serving byte-identically —
 // admitting the alien shard would break the gateway's core invariant.
 func TestClusterJoinRejectsMismatchedCity(t *testing.T) {
@@ -1303,8 +1383,8 @@ func TestClusterJoinRejectsMismatchedCity(t *testing.T) {
 	if resp.status != http.StatusConflict {
 		t.Fatalf("alien join = %d, want 409 (%s)", resp.status, resp.body)
 	}
-	if !strings.Contains(string(resp.body), "pre-warm") {
-		t.Errorf("409 body does not name pre-warm: %s", resp.body)
+	if !strings.Contains(string(resp.body), "city check") {
+		t.Errorf("409 body does not name the city check: %s", resp.body)
 	}
 	if h.gw.ring.Contains(alien.URL) {
 		t.Error("alien shard leaked onto the ring")
@@ -1313,8 +1393,8 @@ func TestClusterJoinRejectsMismatchedCity(t *testing.T) {
 		t.Error("alien shard leaked into the peer table")
 	}
 	snap := fetchSnapshot(t, h.gwTS.URL)
-	if got := snap.Counters[MetricClusterWarmErrors]; got < 1 {
-		t.Errorf("warm.errors = %d, want >= 1", got)
+	if got := snap.Counters[MetricClusterJoinErrors]; got < 1 {
+		t.Errorf("membership.join_errors = %d, want >= 1", got)
 	}
 	h.assertIdentical(t, http.MethodGet, PathFreq+"?x=6000&y=6000&r=900", nil, false)
 	h.assertIdentical(t, http.MethodPost, PathFreqBatch, freqBatchBody(t, 32, 55), false)
@@ -1326,7 +1406,7 @@ func TestClusterJoinRejectsMismatchedCity(t *testing.T) {
 // table / ring / metrics locking; the assertions prove every in-flight
 // response stays structurally sound across membership transitions.
 func TestClusterConcurrentMembershipChurn(t *testing.T) {
-	h := newClusterHarness(t, 3, false, WithReplicas(2), WithWarmMaxCells(4))
+	h := newClusterHarness(t, 3, false, WithReplicas(2))
 	spare := h.newShard(t)
 
 	var churn sync.WaitGroup

@@ -62,7 +62,6 @@ func newSettings(defaultLog *log.Logger, opts []ServerOption) *serverSettings {
 			probeTimeout:  DefaultProbeTimeout,
 			replicas:      1,
 			hedgeDelay:    DefaultHedgeDelay,
-			warmMaxCells:  DefaultWarmMaxCells,
 			peerTransport: http.DefaultTransport,
 		},
 	}

@@ -125,9 +125,9 @@ func (s *GSPServer) handleFreq(w http.ResponseWriter, r *http.Request) {
 // appendFreqJSON appends the bytes json.Marshal gives a non-nil f,
 // without reflection. The freq endpoints write their bodies with it, and
 // those must stay byte-identical to writeJSON of the typed response: a
-// gateway relays shard bodies as they are, and its pre-warm compares a
-// joiner's bodies with a donor's byte for byte, so every gspd build in
-// a fleet must write the same bytes.
+// gateway relays shard bodies as they are, and its join check compares
+// a joiner's /v1/freq body with a donor's byte for byte, so every gspd
+// build in a fleet must write the same bytes.
 func appendFreqJSON(b []byte, f poi.FreqVector) []byte {
 	b = append(b, '[')
 	for i, n := range f {

@@ -43,7 +43,7 @@ const (
 
 // PathClusterPeers is the cluster gateway's membership admin surface:
 // GET lists the fleet, POST {"url": ...} joins a shard (readiness
-// probe + cache pre-warm first), DELETE /v1/cluster/peers/{url} (URL
+// probe + city check first), DELETE /v1/cluster/peers/{url} (URL
 // path-escaped) retires one. Under auth the mutations are restricted
 // to the WithClusterAdmin principal.
 const PathClusterPeers = "/v1/cluster/peers"
