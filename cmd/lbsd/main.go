@@ -27,10 +27,14 @@
 // memory: at most -history-users distinct users (second-chance eviction
 // past it) times -stream-per-user events each. Every -stream-tick the
 // window is aggregated into one differentially private frequency vector
-// (GET /v1/stream/releases); with -budget each release charges
-// (-stream-eps, -stream-delta) to every contributing principal. SIGTERM
-// drains the window through one final release before the ledger closes,
-// so in-flight check-ins are released and charged, not dropped.
+// (GET /v1/stream/releases). Each check-in's POI types within
+// -stream-radius are counted once, at the first tick that sees it, into
+// its user's running window sum; these counts bypass the gsp cache the
+// audits use. The mechanism is the paper's Gaussian release at
+// (-stream-eps, -stream-delta), and with -budget each release charges
+// that same pair to every contributing principal. SIGTERM drains the
+// window through one final release before the ledger closes, so
+// in-flight check-ins are released and charged, not dropped.
 //
 // Endpoints: POST /v1/release, GET /v1/releases?user=, the budget admin
 // pair GET /v1/budget/{principal} and POST /v1/budget/{principal}/reset
@@ -50,7 +54,6 @@ import (
 
 	"poiagg/internal/budget"
 	"poiagg/internal/citygen"
-	"poiagg/internal/cloak"
 	"poiagg/internal/defense"
 	"poiagg/internal/gsp"
 	"poiagg/internal/obs"
@@ -91,7 +94,6 @@ type config struct {
 	streamPerUser     int
 	streamHistory     int
 	streamSeed        uint64
-	streamPop         int
 	streamEps         float64
 	streamDelta       float64
 }
@@ -122,9 +124,8 @@ func declareFlags(fs *flag.FlagSet) *config {
 	fs.IntVar(&cfg.streamPerUser, "stream-per-user", 64, "max events kept per user window (oldest dropped past it)")
 	fs.IntVar(&cfg.streamHistory, "stream-history", stream.DefaultHistory, "windowed releases kept for GET /v1/stream/releases")
 	fs.Uint64Var(&cfg.streamSeed, "stream-seed", 1, "root seed for windowed release noise")
-	fs.IntVar(&cfg.streamPop, "stream-pop", 2000, "synthetic population size behind the windowed DP mechanism")
-	fs.Float64Var(&cfg.streamEps, "stream-eps", 0.5, "epsilon charged per principal per windowed release (with -budget)")
-	fs.Float64Var(&cfg.streamDelta, "stream-delta", 1e-6, "delta charged per principal per windowed release (with -budget)")
+	fs.Float64Var(&cfg.streamEps, "stream-eps", 0.5, "epsilon of each windowed release, charged per principal with -budget")
+	fs.Float64Var(&cfg.streamDelta, "stream-delta", 1e-6, "delta of each windowed release, charged per principal with -budget")
 	return cfg
 }
 
@@ -155,8 +156,9 @@ func run(args []string) error {
 // and stream release loop that its shutdown tail drains.
 type daemon struct {
 	srv        *wire.LBSServer
-	led        *budget.Ledger // nil without -budget
-	stopStream func()         // nil without -stream
+	led        *budget.Ledger   // nil without -budget
+	rel        *stream.Releaser // nil without -stream
+	stopStream func()           // nil without -stream
 }
 
 // close is the daemon's shutdown tail (stopStreamAndCloseLedger).
@@ -190,12 +192,9 @@ func build(cfg *config, logger *log.Logger) (_ *daemon, err error) {
 		wire.WithHistoryLimit(cfg.historyLimit),
 		wire.WithHistoryUsers(cfg.historyUsers),
 		wire.WithMetrics(reg))
-	var svc *gsp.Service
-	if !cfg.noAudit || cfg.streamOn {
-		svc = gsp.NewService(city.City, 1<<18)
-		svc.ExportMetrics(reg)
-	}
 	if !cfg.noAudit {
+		svc := gsp.NewService(city.City, 1<<18)
+		svc.ExportMetrics(reg)
 		opts = append(opts, wire.WithAuditor(wire.RegionAuditor{Svc: svc}))
 	}
 
@@ -236,19 +235,24 @@ func build(cfg *config, logger *log.Logger) (_ *daemon, err error) {
 			Window:     cfg.streamWindow,
 			MaxUsers:   cfg.historyUsers,
 			MaxPerUser: cfg.streamPerUser,
-			Bounds:     city.Bounds,
+			City:       city.City,
+			Radius:     cfg.streamRadius,
 		})
 		if err != nil {
 			return nil, err
 		}
-		pop := cloak.UniformPopulation(city.Bounds, cfg.streamPop, cfg.streamSeed)
-		mech, err := defense.NewDPRelease(svc, pop, defense.DefaultDPReleaseConfig())
+		// One source for the release's (ε, δ): the mechanism spends what
+		// the releaser charges. It releases the users' window sums and
+		// cloaks no one, so it needs no population, and its service only
+		// names the city.
+		dpCfg := defense.DefaultDPReleaseConfig()
+		dpCfg.Eps, dpCfg.Delta = cfg.streamEps, cfg.streamDelta
+		mech, err := defense.NewDPRelease(gsp.NewService(city.City, 0), nil, dpCfg)
 		if err != nil {
 			return nil, err
 		}
-		rel, err := stream.NewReleaser(st, svc, mech, d.led, stream.ReleaserConfig{
+		d.rel, err = stream.NewReleaser(st, mech, d.led, stream.ReleaserConfig{
 			Interval: cfg.streamTick,
-			Radius:   cfg.streamRadius,
 			Seed:     cfg.streamSeed,
 			History:  cfg.streamHistory,
 			Eps:      cfg.streamEps,
@@ -257,10 +261,10 @@ func build(cfg *config, logger *log.Logger) (_ *daemon, err error) {
 		if err != nil {
 			return nil, err
 		}
-		opts = append(opts, wire.WithStream(st, rel))
-		d.stopStream = rel.Start(func(err error) { logger.Printf("stream release: %v", err) })
-		logger.Printf("streaming ingestion on: %v window over ≤%d users × %d events, release every %v at radius %vm",
-			cfg.streamWindow, cfg.historyUsers, cfg.streamPerUser, rel.Config().Interval, rel.Config().Radius)
+		opts = append(opts, wire.WithStream(st, d.rel))
+		d.stopStream = d.rel.Start(func(err error) { logger.Printf("stream release: %v", err) })
+		logger.Printf("streaming ingestion on: %v window over ≤%d users × %d events, release every %v at radius %vm, (ε=%v, δ=%v) each",
+			cfg.streamWindow, cfg.historyUsers, cfg.streamPerUser, d.rel.Config().Interval, st.Config().Radius, cfg.streamEps, cfg.streamDelta)
 	}
 	d.srv = wire.NewLBSServer(city.M(), opts...)
 	return d, nil

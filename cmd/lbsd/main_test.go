@@ -104,6 +104,108 @@ func TestAuditedReleaseExportsGSPMetrics(t *testing.T) {
 	}
 }
 
+// TestStreamMechanismSpendsTheChargedBudget builds lbsd with a stream
+// and a budget and requires the windowed releases' mechanism to spend
+// exactly the (ε, δ) the releaser charges each principal: the ledger
+// must not book less than a release spends.
+func TestStreamMechanismSpendsTheChargedBudget(t *testing.T) {
+	for _, args := range [][]string{
+		{"-stream", "-budget"},
+		{"-stream", "-budget", "-stream-eps", "0.25", "-stream-delta", "1e-5"},
+	} {
+		fs := flag.NewFlagSet("lbsd", flag.ContinueOnError)
+		cfg := declareFlags(fs)
+		if err := fs.Parse(append(args, "-no-audit")); err != nil {
+			t.Fatal(err)
+		}
+		logger := log.New(io.Discard, "", 0)
+		d, err := build(cfg, logger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mech, charged := d.rel.Mechanism().Config(), d.rel.Config()
+		d.close(logger)
+		if mech.Eps != charged.Eps || mech.Delta != charged.Delta {
+			t.Errorf("%v: mechanism spends (ε=%v, δ=%v), the ledger is charged (ε=%v, δ=%v)",
+				args, mech.Eps, mech.Delta, charged.Eps, charged.Delta)
+		}
+		if charged.Eps != cfg.streamEps || charged.Delta != cfg.streamDelta {
+			t.Errorf("%v: charged (ε=%v, δ=%v), flags say (ε=%v, δ=%v)",
+				args, charged.Eps, charged.Delta, cfg.streamEps, cfg.streamDelta)
+		}
+	}
+}
+
+// TestStreamTickLeavesGSPCacheAlone ingests check-ins into the daemon
+// lbsd builds and ticks its releaser: counting the events must not
+// touch the gsp cache the audits use, so its size and misses stay as
+// they were.
+func TestStreamTickLeavesGSPCacheAlone(t *testing.T) {
+	fs := flag.NewFlagSet("lbsd", flag.ContinueOnError)
+	cfg := declareFlags(fs)
+	if err := fs.Parse([]string{"-stream"}); err != nil {
+		t.Fatal(err)
+	}
+	logger := log.New(io.Discard, "", 0)
+	d, err := build(cfg, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close(logger)
+	ts := httptest.NewServer(d.srv)
+	defer ts.Close()
+	metrics := func() map[string]uint64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + obs.PathMetrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap obs.Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Counters
+	}
+
+	city, err := citygen.Generate(citygen.Beijing(cfg.seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	now := time.Now().UTC()
+	for i, l := range city.RandomLocations(32, 5) {
+		ev := stream.Event{UserID: fmt.Sprintf("u%d", i%4), X: l.X, Y: l.Y, TS: now}
+		if err := json.NewEncoder(&body).Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack wire.IngestResponse
+	err = json.NewDecoder(resp.Body).Decode(&ack)
+	resp.Body.Close()
+	if err != nil || ack.Accepted != 32 {
+		t.Fatalf("ingest: status %d, %+v, %v; want 32 accepted", resp.StatusCode, ack, err)
+	}
+
+	before := metrics()
+	// Stopping the stream publishes one final release, which counts
+	// every window event.
+	d.stopStream()
+	if h := d.rel.History(1); len(h) != 1 || h[0].Users != 4 || h[0].Events != 32 {
+		t.Fatalf("final release: %+v, want 4 users and 32 events", h)
+	}
+	after := metrics()
+	for _, name := range []string{gsp.MetricCacheSize, gsp.MetricCacheMisses} {
+		if before[name] != after[name] {
+			t.Errorf("%s went from %d to %d over a tick that counted 32 check-ins, want unchanged", name, before[name], after[name])
+		}
+	}
+}
+
 // TestStreamDrainChargesLedgerBeforeClose proves the shutdown ordering
 // the SIGTERM path relies on: stopStreamAndCloseLedger must let the
 // releaser's final flush charge every in-flight window to the ledger
@@ -126,7 +228,8 @@ func TestStreamDrainChargesLedgerBeforeClose(t *testing.T) {
 	st, err := stream.NewStore(stream.Config{
 		Window:   5 * time.Minute,
 		MaxUsers: 16,
-		Bounds:   city.Bounds,
+		City:     city.City,
+		Radius:   800,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +245,8 @@ func TestStreamDrainChargesLedgerBeforeClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tickEps = 0.5
-	rel, err := stream.NewReleaser(st, svc, mech, led, stream.ReleaserConfig{
+	rel, err := stream.NewReleaser(st, mech, led, stream.ReleaserConfig{
 		Interval: time.Millisecond,
-		Radius:   800,
 		Seed:     99,
 		Eps:      tickEps,
 		Delta:    1e-6,
@@ -249,7 +351,6 @@ func TestFlagSurface(t *testing.T) {
 		"stream-eps=0.5",
 		"stream-history=64",
 		"stream-per-user=64",
-		"stream-pop=2000",
 		"stream-radius=1000",
 		"stream-seed=1",
 		"stream-tick=1m0s",

@@ -35,7 +35,11 @@
 // the gateway first checks serves the same city, at two thirds. Traffic
 // queries loadgen's ordinary uniform locations, and the report gains a
 // "churn" block with per-phase latency quantiles and cache hit rates:
-// the dip and recovery across the transitions is the measurement.
+// the dip and recovery across the transitions is the measurement. The
+// shards start cold, so the "steady" phase includes the fleet's cache
+// fill, and its hit rate is not a steady state. The "rejoined" phase
+// starts once the joiner is admitted, so the join's own city-check
+// requests count toward "departed".
 //
 // Usage:
 //
@@ -80,7 +84,6 @@ import (
 	"time"
 
 	"poiagg/internal/citygen"
-	"poiagg/internal/cloak"
 	"poiagg/internal/defense"
 	"poiagg/internal/geo"
 	"poiagg/internal/gsp"
@@ -175,7 +178,8 @@ type ChurnStats struct {
 	Leaves uint64  `json:"leaves"`
 	JoinMs float64 `json:"joinMs"` // admit latency, city check included
 	// Phases reports the freq target per transition window: steady
-	// (full fleet), departed (victim gone), rejoined (cold shard in).
+	// (full fleet, cold caches filling), departed (victim gone, up to
+	// the joiner's admission), rejoined (cold shard in).
 	Phases []ChurnPhase `json:"phases"`
 }
 
@@ -606,19 +610,18 @@ func run(args []string, stdout io.Writer) error {
 			// event count stays hard-bounded at users × per-user cap.
 			streamStore, err = stream.NewStore(stream.Config{
 				MaxUsers: cfg.streamUsers,
-				Bounds:   city.Bounds,
+				City:     city.City,
+				Radius:   cfg.radius,
 			})
 			if err != nil {
 				return err
 			}
-			mech, err := defense.NewDPRelease(svc,
-				cloak.UniformPopulation(city.Bounds, 2000, cfg.seed+13), defense.DefaultDPReleaseConfig())
+			mech, err := defense.NewDPRelease(svc, nil, defense.DefaultDPReleaseConfig())
 			if err != nil {
 				return err
 			}
-			streamRel, err = stream.NewReleaser(streamStore, svc, mech, nil, stream.ReleaserConfig{
+			streamRel, err = stream.NewReleaser(streamStore, mech, nil, stream.ReleaserConfig{
 				Interval: cfg.streamTick,
-				Radius:   cfg.radius,
 				Seed:     cfg.seed,
 			})
 			if err != nil {
@@ -848,7 +851,6 @@ func run(args []string, stdout io.Writer) error {
 				fmt.Fprintf(os.Stderr, "loadgen: churn: retired shard %s\n", churn.victim)
 			}
 			time.Sleep(third)
-			churn.marks[2] = churn.sumCache()
 			joinURL, joinShard := churnNewShard()
 			ctx, cancel = context.WithTimeout(context.Background(), cfg.timeout)
 			start := time.Now()
@@ -861,6 +863,10 @@ func run(args []string, stdout io.Writer) error {
 			}
 			churn.joiner = joinURL
 			churn.addShard(joinShard)
+			// Marked once the joiner's counters are in the sum, so the
+			// join's own city-check requests stay out of the rejoined
+			// phase.
+			churn.marks[2] = churn.sumCache()
 			churn.phase.Store(2)
 			if !cfg.quiet {
 				fmt.Fprintf(os.Stderr, "loadgen: churn: admitted cold shard %s in %v\n", joinURL, churn.join)

@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -69,7 +70,12 @@ type DPRelease struct {
 	cfg     DPReleaseConfig
 }
 
-// NewDPRelease builds the mechanism over a population for cloaking.
+// errNoPopulation is Release's error on a vector-only mechanism.
+var errNoPopulation = errors.New("defense: DPRelease: Release needs a population to cloak in")
+
+// NewDPRelease builds the mechanism over a population for cloaking. A
+// nil population builds a vector-only mechanism: ReleaseVectors works,
+// and Release, which has no one to cloak among, returns an error.
 func NewDPRelease(svc *gsp.Service, pop *cloak.Population, cfg DPReleaseConfig) (*DPRelease, error) {
 	if svc == nil {
 		return nil, fmt.Errorf("defense: NewDPRelease: nil service")
@@ -95,9 +101,12 @@ func NewDPRelease(svc *gsp.Service, pop *cloak.Population, cfg DPReleaseConfig) 
 	if cfg.Beta < 0 {
 		return nil, fmt.Errorf("defense: NewDPRelease: negative beta %v", cfg.Beta)
 	}
-	cl, err := cloak.NewCloaker(pop, cfg.K)
-	if err != nil {
-		return nil, fmt.Errorf("defense: NewDPRelease: %w", err)
+	var cl *cloak.Cloaker
+	if pop != nil {
+		var err error
+		if cl, err = cloak.NewCloaker(pop, cfg.K); err != nil {
+			return nil, fmt.Errorf("defense: NewDPRelease: %w", err)
+		}
 	}
 	opt, err := NewOptRelease(svc.City())
 	if err != nil {
@@ -109,6 +118,9 @@ func NewDPRelease(svc *gsp.Service, pop *cloak.Population, cfg DPReleaseConfig) 
 // Release produces the protected frequency vector for a user at l with
 // query range r.
 func (d *DPRelease) Release(src *rng.Source, l geo.Point, r float64) (poi.FreqVector, error) {
+	if d.cloaker == nil {
+		return nil, errNoPopulation
+	}
 	dummies := d.cloaker.DummyLocations(l, src)
 	m := d.svc.City().M()
 	// One scratch vector serves every dummy location (FreqInto, no
@@ -208,6 +220,9 @@ func (d *DPRelease) Config() DPReleaseConfig { return d.cfg }
 func (d *DPRelease) ReleaseWithAccountant(src *rng.Source, acct *dp.Accountant, l geo.Point, r float64) (poi.FreqVector, error) {
 	if acct == nil {
 		return nil, fmt.Errorf("defense: ReleaseWithAccountant: nil accountant")
+	}
+	if d.cloaker == nil {
+		return nil, errNoPopulation
 	}
 	delta := d.cfg.Delta
 	if d.cfg.Mech == MechLaplace {

@@ -2,10 +2,12 @@ package defense
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"poiagg/internal/attack"
 	"poiagg/internal/dp"
+	"poiagg/internal/poi"
 	"poiagg/internal/rng"
 	"poiagg/internal/stats"
 )
@@ -163,5 +165,51 @@ func BenchmarkDPGaussianVsLaplace(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDPReleaseVectorOnly pins the nil-population mechanism the stream
+// releaser uses: ReleaseVectors draws exactly what a mechanism with a
+// population draws, while Release and ReleaseWithAccountant refuse,
+// and the refusal spends no budget.
+func TestDPReleaseVectorOnly(t *testing.T) {
+	city, svc, pop := fixture(t)
+	cfg := DefaultDPReleaseConfig()
+	vecOnly, err := NewDPRelease(svc, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewDPRelease(svc, pop, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vecs []poi.FreqVector
+	for _, l := range city.RandomLocations(5, 31) {
+		vecs = append(vecs, svc.Freq(l, 1200))
+	}
+	got, err := vecOnly.ReleaseVectors(rng.New(32), vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.ReleaseVectors(rng.New(32), vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("vector-only ReleaseVectors = %v, want %v", got, want)
+	}
+	l := city.RandomLocations(1, 33)[0]
+	if _, err := vecOnly.Release(rng.New(34), l, 1000); err == nil {
+		t.Error("Release without a population succeeded")
+	}
+	acct, err := dp.NewAccountant(1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vecOnly.ReleaseWithAccountant(rng.New(35), acct, l, 1000); err == nil {
+		t.Error("ReleaseWithAccountant without a population succeeded")
+	}
+	if acct.Releases() != 0 {
+		t.Errorf("refused release spent budget: %d releases charged", acct.Releases())
 	}
 }

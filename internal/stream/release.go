@@ -8,7 +8,6 @@ import (
 
 	"poiagg/internal/budget"
 	"poiagg/internal/defense"
-	"poiagg/internal/gsp"
 	"poiagg/internal/obs"
 	"poiagg/internal/poi"
 	"poiagg/internal/rng"
@@ -20,8 +19,6 @@ const (
 	DefaultInterval = time.Minute
 	// DefaultHistory bounds how many past window releases are kept.
 	DefaultHistory = 64
-	// DefaultRadius is the per-event POI query radius in meters.
-	DefaultRadius = 1000
 )
 
 // ReleaserConfig parameterizes the windowed releaser.
@@ -29,8 +26,6 @@ type ReleaserConfig struct {
 	// Interval is the tick period for Start; Tick itself is driven
 	// explicitly by its caller's clock.
 	Interval time.Duration
-	// Radius is the POI query radius applied to each window event.
-	Radius float64
 	// Seed roots the release noise: tick k draws from
 	// rng.New(Seed).Split(k), so a replay with the same seed and tick
 	// schedule reproduces every release bit for bit.
@@ -95,22 +90,21 @@ func (wr WindowRelease) Public() PublicRelease {
 }
 
 // Releaser periodically turns the window store's state into a DP
-// release: each tick it aggregates every active user's window into one
-// frequency vector, feeds the per-user vectors through
-// defense.DPRelease (the users play the role of the cloak's k dummies),
-// charges each contributing principal's budget, and appends the result
-// to a bounded history.
+// release: each tick it takes every active user's window sum from the
+// store, charges each contributing principal's budget, feeds the
+// admitted users' sums through defense.DPRelease (the users play the
+// role of the cloak's k dummies), and appends the result to a bounded
+// history.
 type Releaser struct {
 	store *Store
-	svc   *gsp.Service
 	mech  *defense.DPRelease
 	spend spendFunc // the ledger's Spend; nil disables budget charging
 	cfg   ReleaserConfig
 	src   *rng.Source
 
 	// tickMu serializes Tick and guards the charge memo. A tick holds
-	// it while it charges budgets and computes every window event's
-	// vector.
+	// it while it counts new window events, charges budgets and draws
+	// the noise.
 	tickMu sync.Mutex
 	// chargeTick/charged memoize the durable spend decisions already
 	// made for the in-progress tick, so a Tick retried after a mid-loop
@@ -136,17 +130,14 @@ type Releaser struct {
 // production, swappable in tests to inject mid-loop failures.
 type spendFunc func(principal string, eps, delta float64) (budget.Decision, error)
 
-// NewReleaser wires a releaser over a store, the GSP service, the DP
-// mechanism, and an optional budget ledger.
-func NewReleaser(store *Store, svc *gsp.Service, mech *defense.DPRelease, led *budget.Ledger, cfg ReleaserConfig) (*Releaser, error) {
-	if store == nil || svc == nil || mech == nil {
-		return nil, fmt.Errorf("stream: NewReleaser: nil store, service, or mechanism")
+// NewReleaser wires a releaser over a store, the DP mechanism, and an
+// optional budget ledger.
+func NewReleaser(store *Store, mech *defense.DPRelease, led *budget.Ledger, cfg ReleaserConfig) (*Releaser, error) {
+	if store == nil || mech == nil {
+		return nil, fmt.Errorf("stream: NewReleaser: nil store or mechanism")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
-	}
-	if cfg.Radius <= 0 {
-		cfg.Radius = DefaultRadius
 	}
 	if cfg.History <= 0 {
 		cfg.History = DefaultHistory
@@ -156,7 +147,6 @@ func NewReleaser(store *Store, svc *gsp.Service, mech *defense.DPRelease, led *b
 	}
 	r := &Releaser{
 		store: store,
-		svc:   svc,
 		mech:  mech,
 		cfg:   cfg,
 		src:   rng.New(cfg.Seed),
@@ -169,6 +159,9 @@ func NewReleaser(store *Store, svc *gsp.Service, mech *defense.DPRelease, led *b
 
 // Config returns the releaser's effective configuration.
 func (r *Releaser) Config() ReleaserConfig { return r.cfg }
+
+// Mechanism returns the DP mechanism each tick releases through.
+func (r *Releaser) Mechanism() *defense.DPRelease { return r.mech }
 
 // Tick publishes one windowed release for the window ending at now. It
 // is fully deterministic given the store contents, the tick index, and
@@ -224,25 +217,15 @@ func (r *Releaser) Tick(now time.Time) (WindowRelease, error) {
 	}
 
 	// One aggregate vector per admitted user: the sum of the freq
-	// vectors of their window events. Scratch buffer reused across
-	// events, mirroring DPRelease's own dummy loop.
-	m := r.svc.City().M()
-	scratch := poi.NewFreqVector(m)
+	// vectors of their window events, as the store keeps it.
 	var vecs []poi.FreqVector
 	for _, u := range active {
 		if deniedSet[u.Principal] {
 			continue
 		}
-		vec := poi.NewFreqVector(m)
-		for _, loc := range u.Locations {
-			r.svc.FreqInto(scratch, loc, r.cfg.Radius)
-			for i, v := range scratch {
-				vec[i] += v
-			}
-		}
-		vecs = append(vecs, vec)
+		vecs = append(vecs, u.Sum)
 		rel.Users++
-		rel.Events += len(u.Locations)
+		rel.Events += u.Events
 	}
 
 	if len(vecs) > 0 {

@@ -1,9 +1,10 @@
 // Package stream is the live-ingestion subsystem: clients stream
 // check-in events (user, location, timestamp), a bounded sliding-window
-// store keeps each user's recent events, and a clock-driven Releaser
-// periodically aggregates the window into per-user frequency vectors,
-// applies the paper's DP release mechanism, charges the budget ledger
-// per window, and publishes to a bounded release history.
+// store keeps each user's recent events and the running sum of their
+// frequency vectors (each event is counted once, at the first tick
+// that sees it), and a clock-driven Releaser periodically takes the
+// per-user sums, applies the paper's DP release mechanism, charges the
+// budget ledger per window, and publishes to a bounded release history.
 //
 // Everything is driven by an injected clock, so tests (and the
 // replay-identity e2e) never sleep: the same event log replayed offline

@@ -16,6 +16,7 @@ import (
 	"poiagg/internal/defense"
 	"poiagg/internal/gsp"
 	"poiagg/internal/obs"
+	"poiagg/internal/poi"
 )
 
 var (
@@ -61,12 +62,25 @@ func testStore(t testing.TB, maxUsers, maxPerUser int, window time.Duration) (*S
 		MaxUsers:   maxUsers,
 		MaxPerUser: maxPerUser,
 		Clock:      clock.Now,
-		Bounds:     city.Bounds,
+		City:       city.City,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st, clock
+}
+
+// windowSum is the sum of the events' frequency vectors at st's radius,
+// counted from scratch without a cache.
+func windowSum(st *Store, evs ...Event) poi.FreqVector {
+	svc := gsp.NewService(st.cfg.City, 0)
+	sum := poi.NewFreqVector(st.cfg.City.M())
+	for _, ev := range evs {
+		for t, c := range svc.Freq(ev.Loc(), st.cfg.Radius) {
+			sum[t] += c
+		}
+	}
+	return sum
 }
 
 // eventAt builds a valid in-bounds event for the fixture city.
@@ -177,15 +191,12 @@ func TestStorePerUserCapDropsOldest(t *testing.T) {
 		}
 	}
 	aw := st.ActiveAt(now.Add(time.Minute))
-	if len(aw) != 1 || len(aw[0].Locations) != capN {
-		t.Fatalf("window = %d users / %d events, want 1/%d", len(aw), len(aw[0].Locations), capN)
+	if len(aw) != 1 || aw[0].Events != capN {
+		t.Fatalf("window = %d users / %d events, want 1/%d", len(aw), aw[0].Events, capN)
 	}
-	// The survivors must be the most recent cap events, in order.
-	for i, loc := range aw[0].Locations {
-		want := evs[len(evs)-capN+i].Loc()
-		if loc != want {
-			t.Errorf("event %d: %v, want %v", i, loc, want)
-		}
+	// The survivors must be the most recent cap events.
+	if want := windowSum(st, evs[len(evs)-capN:]...); !reflect.DeepEqual(aw[0].Sum, want) {
+		t.Errorf("window sum %v, want the last %d events' %v", aw[0].Sum, capN, want)
 	}
 	if s := st.Stats(); s.Dropped != 3 {
 		t.Errorf("Dropped = %d, want 3", s.Dropped)
@@ -229,11 +240,11 @@ func TestEvictedUserFreshWindow(t *testing.T) {
 		if u.UserID != "victim" {
 			continue
 		}
-		if len(u.Locations) != 1 {
-			t.Fatalf("re-appeared victim has %d window events, want exactly 1 (stale events resurrected)", len(u.Locations))
+		if u.Events != 1 {
+			t.Fatalf("re-appeared victim has %d window events, want exactly 1 (stale events resurrected)", u.Events)
 		}
-		if u.Locations[0] != fresh.Loc() {
-			t.Fatalf("victim's window holds %v, want the fresh event %v", u.Locations[0], fresh.Loc())
+		if want := windowSum(st, fresh); !reflect.DeepEqual(u.Sum, want) {
+			t.Fatalf("victim's window sums to %v, want the fresh event's %v", u.Sum, want)
 		}
 		return
 	}
@@ -248,14 +259,18 @@ func TestEvictedUserFreshWindow(t *testing.T) {
 func TestCrossPrincipalUserWindowsIsolated(t *testing.T) {
 	st, clock := testStore(t, 10, 8, 10*time.Minute)
 	now := clock.Now()
+	var acme []Event
 	for j := 0; j < 2; j++ {
-		if err := st.Apply(eventAt(t, "ada", j, now.Add(time.Duration(j)*time.Second)), "acme"); err != nil {
+		ev := eventAt(t, "ada", j, now.Add(time.Duration(j)*time.Second))
+		acme = append(acme, ev)
+		if err := st.Apply(ev, "acme"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The hijack attempt from the review: one event under the same
 	// userId from a different principal.
-	if err := st.Apply(eventAt(t, "ada", 9, now.Add(3*time.Second)), "globex"); err != nil {
+	globex := eventAt(t, "ada", 9, now.Add(3*time.Second))
+	if err := st.Apply(globex, "globex"); err != nil {
 		t.Fatal(err)
 	}
 	aw := st.ActiveAt(now.Add(time.Minute))
@@ -263,10 +278,10 @@ func TestCrossPrincipalUserWindowsIsolated(t *testing.T) {
 		t.Fatalf("windows = %d, want 2 separate (principal, user) windows: %+v", len(aw), aw)
 	}
 	// Sorted by (user, principal): acme first.
-	if aw[0].Principal != "acme" || len(aw[0].Locations) != 2 {
+	if aw[0].Principal != "acme" || aw[0].Events != 2 || !reflect.DeepEqual(aw[0].Sum, windowSum(st, acme...)) {
 		t.Errorf("acme window: %+v", aw[0])
 	}
-	if aw[1].Principal != "globex" || len(aw[1].Locations) != 1 {
+	if aw[1].Principal != "globex" || aw[1].Events != 1 || !reflect.DeepEqual(aw[1].Sum, windowSum(st, globex)) {
 		t.Errorf("globex window: %+v", aw[1])
 	}
 	for _, u := range aw {
@@ -361,13 +376,14 @@ type streamRig struct {
 
 func newRig(t testing.TB, seed uint64, pol *budget.Policy) *streamRig {
 	t.Helper()
-	city, svc, mech := fixture(t)
+	city, _, mech := fixture(t)
 	clock := NewManualClock(baseTime)
 	st, err := NewStore(Config{
 		Window:   4 * time.Minute,
 		MaxUsers: 64,
 		Clock:    clock.Now,
-		Bounds:   city.Bounds,
+		City:     city.City,
+		Radius:   900,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -379,11 +395,10 @@ func newRig(t testing.TB, seed uint64, pol *budget.Policy) *streamRig {
 			t.Fatal(err)
 		}
 	}
-	rel, err := NewReleaser(st, svc, mech, led, ReleaserConfig{
-		Radius: 900,
-		Seed:   seed,
-		Eps:    0.5,
-		Delta:  0.05,
+	rel, err := NewReleaser(st, mech, led, ReleaserConfig{
+		Seed:  seed,
+		Eps:   0.5,
+		Delta: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -636,13 +651,13 @@ func TestDeniedPrincipalCannotSuppressOthers(t *testing.T) {
 }
 
 func TestReleaserHistoryBounded(t *testing.T) {
-	city, svc, mech := fixture(t)
+	city, _, mech := fixture(t)
 	clock := NewManualClock(baseTime)
-	st, err := NewStore(Config{MaxUsers: 8, Clock: clock.Now, Bounds: city.Bounds})
+	st, err := NewStore(Config{MaxUsers: 8, Clock: clock.Now, City: city.City})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := NewReleaser(st, svc, mech, nil, ReleaserConfig{History: 3, Seed: 1})
+	rel, err := NewReleaser(st, mech, nil, ReleaserConfig{History: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -759,25 +774,34 @@ func TestReplayIdentity(t *testing.T) {
 }
 
 func TestNewStoreAndReleaserValidation(t *testing.T) {
-	_, svc, mech := fixture(t)
-	if _, err := NewStore(Config{}); err == nil {
+	city, _, mech := fixture(t)
+	if _, err := NewStore(Config{City: city.City}); err == nil {
 		t.Error("NewStore accepted MaxUsers = 0")
 	}
-	st, err := NewStore(Config{MaxUsers: 4})
+	if _, err := NewStore(Config{MaxUsers: 4}); err == nil {
+		t.Error("NewStore accepted a nil City")
+	}
+	if _, err := NewStore(Config{MaxUsers: 4, MaxPerUser: math.MaxInt32, City: city.City}); err == nil {
+		t.Error("NewStore accepted a per-user cap whose sums can overflow int32")
+	}
+	st, err := NewStore(Config{MaxUsers: 4, City: city.City})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Config().Window != DefaultWindow || st.Config().MaxPerUser != DefaultMaxPerUser {
-		t.Errorf("defaults not applied: %+v", st.Config())
+	if c := st.Config(); c.Window != DefaultWindow || c.MaxPerUser != DefaultMaxPerUser || c.Radius != DefaultRadius {
+		t.Errorf("defaults not applied: %+v", c)
 	}
-	if _, err := NewReleaser(nil, svc, mech, nil, ReleaserConfig{}); err == nil {
+	if _, err := NewReleaser(nil, mech, nil, ReleaserConfig{}); err == nil {
 		t.Error("NewReleaser accepted nil store")
+	}
+	if _, err := NewReleaser(st, nil, nil, ReleaserConfig{}); err == nil {
+		t.Error("NewReleaser accepted nil mechanism")
 	}
 	led, err := budget.New(budget.Policy{LifetimeEps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewReleaser(st, svc, mech, led, ReleaserConfig{}); err == nil {
+	if _, err := NewReleaser(st, mech, led, ReleaserConfig{}); err == nil {
 		t.Error("NewReleaser accepted a ledger with Eps = 0")
 	}
 	if _, err := Replay(nil, nil, nil, nil, nil); err == nil {

@@ -210,7 +210,7 @@ func fastBackoff() ClientOption { return WithBackoff(time.Millisecond, 4*time.Mi
 func faultyLBSClient(t *testing.T, script []faultAction, opts ...ClientOption) (*LBSClient, *faultTransport, *trackingTransport) {
 	t.Helper()
 	city, _ := wireFixture(t)
-	st, err := stream.NewStore(stream.Config{MaxUsers: 16, Bounds: city.Bounds})
+	st, err := stream.NewStore(stream.Config{MaxUsers: 16, City: city.City})
 	if err != nil {
 		t.Fatal(err)
 	}

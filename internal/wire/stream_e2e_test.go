@@ -20,7 +20,9 @@ import (
 	"poiagg/internal/budget"
 	"poiagg/internal/cloak"
 	"poiagg/internal/defense"
+	"poiagg/internal/gsp"
 	"poiagg/internal/obs"
+	"poiagg/internal/poi"
 	"poiagg/internal/stream"
 )
 
@@ -57,7 +59,8 @@ func newStreamStack(t testing.TB, cfg streamStackConfig) *streamStack {
 		MaxUsers:   cfg.maxUsers,
 		MaxPerUser: cfg.maxPerUser,
 		Clock:      clock.Now,
-		Bounds:     city.Bounds,
+		City:       city.City,
+		Radius:     800,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,11 +78,10 @@ func newStreamStack(t testing.TB, cfg streamStackConfig) *streamStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := stream.NewReleaser(st, svc, mech, led, stream.ReleaserConfig{
-		Radius: 800,
-		Seed:   cfg.seed,
-		Eps:    0.5,
-		Delta:  0.05,
+	rel, err := stream.NewReleaser(st, mech, led, stream.ReleaserConfig{
+		Seed:  cfg.seed,
+		Eps:   0.5,
+		Delta: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +90,21 @@ func newStreamStack(t testing.TB, cfg streamStackConfig) *streamStack {
 	ts := httptest.NewServer(NewLBSServer(city.M(), opts...))
 	t.Cleanup(ts.Close)
 	return &streamStack{st: st, rel: rel, led: led, clock: clock, ts: ts}
+}
+
+// streamSum is the sum of the events' frequency vectors at radius r,
+// counted from scratch without a cache.
+func streamSum(t testing.TB, r float64, evs ...stream.Event) poi.FreqVector {
+	t.Helper()
+	city, _ := wireFixture(t)
+	svc := gsp.NewService(city.City, 0)
+	sum := poi.NewFreqVector(city.M())
+	for _, ev := range evs {
+		for i, c := range svc.Freq(ev.Loc(), r) {
+			sum[i] += c
+		}
+	}
+	return sum
 }
 
 // streamEvent builds an in-bounds event for the wire fixture city.
@@ -393,15 +410,17 @@ func TestIngestCrossTenantWindowIsolationE2E(t *testing.T) {
 	globex := NewLBSClient(stk.ts.URL, stk.ts.Client(), WithSigningKey("globex", testKey('B')))
 	ctx := context.Background()
 
-	if _, err := acme.Ingest(ctx, []stream.Event{
+	acmeEvs := []stream.Event{
 		streamEvent(t, "ada", 1, streamBase),
 		streamEvent(t, "ada", 2, streamBase.Add(time.Second)),
-	}); err != nil {
+	}
+	globexEvs := []stream.Event{
+		streamEvent(t, "ada", 3, streamBase.Add(2*time.Second)),
+	}
+	if _, err := acme.Ingest(ctx, acmeEvs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := globex.Ingest(ctx, []stream.Event{
-		streamEvent(t, "ada", 3, streamBase.Add(2*time.Second)),
-	}); err != nil {
+	if _, err := globex.Ingest(ctx, globexEvs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -409,8 +428,8 @@ func TestIngestCrossTenantWindowIsolationE2E(t *testing.T) {
 	if len(aw) != 2 {
 		t.Fatalf("windows = %+v, want separate acme/ada and globex/ada windows", aw)
 	}
-	if aw[0].Principal != "acme" || len(aw[0].Locations) != 2 ||
-		aw[1].Principal != "globex" || len(aw[1].Locations) != 1 {
+	if aw[0].Principal != "acme" || aw[0].Events != 2 || !reflect.DeepEqual(aw[0].Sum, streamSum(t, 800, acmeEvs...)) ||
+		aw[1].Principal != "globex" || aw[1].Events != 1 || !reflect.DeepEqual(aw[1].Sum, streamSum(t, 800, globexEvs...)) {
 		t.Fatalf("window ownership: %+v", aw)
 	}
 
