@@ -18,11 +18,8 @@
 // endpoints stay unsigned. Keys are given inline ("alice=<hexkey>,...")
 // or via @file, one principal=hexkey per line.
 //
-// With -store-dir the daemon keeps a disk-backed tier for the freq
-// cache: on boot it warm-starts from <dir>/freqstore.bin (validated
-// against the serving city — a stale or corrupt snapshot is rejected and
-// logged, never trusted), and it snapshots the -store-top hottest
-// entries every -store-interval and again at shutdown.
+// The freq cache lives in memory only: every vector in it derives from
+// the city, so a restarted daemon refills it from its first requests.
 package main
 
 import (
@@ -33,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"poiagg/internal/citygen"
 	"poiagg/internal/dataset"
@@ -51,14 +47,11 @@ func main() {
 
 // config is the parsed flag set.
 type config struct {
-	server        *wire.ServerFlags
-	cityName      string
-	seed          uint64
-	load          string
-	maxRadius     float64
-	storeDir      string
-	storeTop      int
-	storeInterval time.Duration
+	server    *wire.ServerFlags
+	cityName  string
+	seed      uint64
+	load      string
+	maxRadius float64
 }
 
 // declareFlags declares gspd's flags on fs.
@@ -68,9 +61,6 @@ func declareFlags(fs *flag.FlagSet) *config {
 	fs.Uint64Var(&cfg.seed, "seed", 1, "generation seed")
 	fs.StringVar(&cfg.load, "load", "", "load a city snapshot (dataset JSON) instead of generating")
 	fs.Float64Var(&cfg.maxRadius, "max-radius", 10_000, "maximum accepted query radius in meters")
-	fs.StringVar(&cfg.storeDir, "store-dir", "", "directory for the disk-backed freq store; warm-starts the cache on boot and snapshots the hottest entries on a cadence and at shutdown (empty disables)")
-	fs.IntVar(&cfg.storeTop, "store-top", 4096, "freq store: snapshot at most this many hottest cache entries")
-	fs.DurationVar(&cfg.storeInterval, "store-interval", 5*time.Minute, "freq store: snapshot cadence (0 snapshots only at shutdown)")
 	return cfg
 }
 
@@ -88,20 +78,6 @@ func run(args []string) error {
 	svc := gsp.NewService(city, 1<<18)
 	logger := log.New(os.Stderr, "gspd ", log.LstdFlags)
 
-	var storePath string
-	if cfg.storeDir != "" {
-		if err := os.MkdirAll(cfg.storeDir, 0o755); err != nil {
-			return fmt.Errorf("create store dir: %w", err)
-		}
-		storePath = gsp.StorePath(cfg.storeDir)
-		// A rejected snapshot (stale city build, corruption) is a cold
-		// start, not a fatal error: log it and keep serving.
-		if n, err := svc.WarmStart(storePath); err != nil {
-			logger.Printf("freq store: rejected %s: %v (cold start)", storePath, err)
-		} else if n > 0 {
-			logger.Printf("freq store: warm start with %d entries from %s", n, storePath)
-		}
-	}
 	opts, err := cfg.server.Options(logger)
 	if err != nil {
 		return err
@@ -111,40 +87,9 @@ func run(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	saveStore := func(when string) {
-		if storePath == "" {
-			return
-		}
-		if n, err := svc.SaveStore(storePath, cfg.storeTop); err != nil {
-			logger.Printf("freq store: snapshot (%s) failed: %v", when, err)
-		} else {
-			logger.Printf("freq store: snapshot (%s): %d entries to %s", when, n, storePath)
-		}
-	}
-	if storePath != "" && cfg.storeInterval > 0 {
-		go func() {
-			tick := time.NewTicker(cfg.storeInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					saveStore("periodic")
-				}
-			}
-		}()
-	}
-
 	logger.Printf("serving %s (%d POIs, %d types) on %s (metrics at %s)",
 		city.Name, city.NumPOIs(), city.M(), cfg.server.Addr, obs.PathMetrics)
-	err = srv.ListenAndServe(ctx, cfg.server.Addr)
-	if ctx.Err() != nil {
-		// Snapshot after the shutdown so the hit counts of the final
-		// in-flight requests make it into the ranking.
-		saveStore("shutdown")
-	}
-	return err
+	return srv.ListenAndServe(ctx, cfg.server.Addr)
 }
 
 func buildCity(load, cityName string, seed uint64) (*gsp.City, error) {

@@ -73,9 +73,6 @@ func TestFlagSurface(t *testing.T) {
 		"pprof=false",
 		"seed=1",
 		"stats-interval=1m0s",
-		"store-dir=",
-		"store-interval=5m0s",
-		"store-top=4096",
 	}
 	fs := flag.NewFlagSet("gspd", flag.ContinueOnError)
 	declareFlags(fs)

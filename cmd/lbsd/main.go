@@ -32,7 +32,9 @@
 // its user's running window sum; these counts bypass the gsp cache the
 // audits use. The mechanism is the paper's Gaussian release at
 // (-stream-eps, -stream-delta), and with -budget each release charges
-// that same pair to every contributing principal. SIGTERM drains the
+// that same pair to every contributing principal. Its noise comes from
+// a root seed drawn from crypto/rand at boot and never published;
+// -stream-seed pins one instead, for replaying releases. SIGTERM drains the
 // window through one final release before the ledger closes, so
 // in-flight check-ins are released and charged, not dropped.
 //
@@ -44,6 +46,8 @@ package main
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
@@ -123,7 +127,7 @@ func declareFlags(fs *flag.FlagSet) *config {
 	fs.Float64Var(&cfg.streamRadius, "stream-radius", stream.DefaultRadius, "POI query radius in meters for window aggregates")
 	fs.IntVar(&cfg.streamPerUser, "stream-per-user", 64, "max events kept per user window (oldest dropped past it)")
 	fs.IntVar(&cfg.streamHistory, "stream-history", stream.DefaultHistory, "windowed releases kept for GET /v1/stream/releases")
-	fs.Uint64Var(&cfg.streamSeed, "stream-seed", 1, "root seed for windowed release noise")
+	fs.Uint64Var(&cfg.streamSeed, "stream-seed", 0, "root seed for windowed release noise (0 draws a secret one from crypto/rand at boot; pin it only to replay releases)")
 	fs.Float64Var(&cfg.streamEps, "stream-eps", 0.5, "epsilon of each windowed release, charged per principal with -budget")
 	fs.Float64Var(&cfg.streamDelta, "stream-delta", 1e-6, "delta of each windowed release, charged per principal with -budget")
 	return cfg
@@ -251,9 +255,18 @@ func build(cfg *config, logger *log.Logger) (_ *daemon, err error) {
 		if err != nil {
 			return nil, err
 		}
+		// Every public release carries its tick, so a known root seed
+		// lets anyone recompute its noise: unless a seed is pinned, draw
+		// one that is never logged or published.
+		seed := cfg.streamSeed
+		if seed == 0 {
+			var b [8]byte
+			_, _ = rand.Read(b[:]) // never fails: since Go 1.24 it crashes the process instead
+			seed = binary.LittleEndian.Uint64(b[:])
+		}
 		d.rel, err = stream.NewReleaser(st, mech, d.led, stream.ReleaserConfig{
 			Interval: cfg.streamTick,
-			Seed:     cfg.streamSeed,
+			Seed:     seed,
 			History:  cfg.streamHistory,
 			Eps:      cfg.streamEps,
 			Delta:    cfg.streamDelta,

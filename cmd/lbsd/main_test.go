@@ -136,6 +136,35 @@ func TestStreamMechanismSpendsTheChargedBudget(t *testing.T) {
 	}
 }
 
+// TestStreamSeedIsSecretByDefault builds lbsd twice with default
+// stream flags: each boot must root its release noise in its own random
+// seed, never the old fixed default of 1, since every public release
+// names its tick and a known seed lets anyone recompute the noise. A
+// pinned -stream-seed is still used as given.
+func TestStreamSeedIsSecretByDefault(t *testing.T) {
+	seedOf := func(args ...string) uint64 {
+		fs := flag.NewFlagSet("lbsd", flag.ContinueOnError)
+		cfg := declareFlags(fs)
+		if err := fs.Parse(append(args, "-stream", "-no-audit")); err != nil {
+			t.Fatal(err)
+		}
+		logger := log.New(io.Discard, "", 0)
+		d, err := build(cfg, logger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.close(logger)
+		return d.rel.Config().Seed
+	}
+	a, b := seedOf(), seedOf()
+	if a == b || a == 1 || b == 1 {
+		t.Errorf("default boots rooted their noise in seeds %#x and %#x, want two distinct seeds, neither 1", a, b)
+	}
+	if got := seedOf("-stream-seed", "7"); got != 7 {
+		t.Errorf("-stream-seed 7 rooted the noise in %#x, want 7", got)
+	}
+}
+
 // TestStreamTickLeavesGSPCacheAlone ingests check-ins into the daemon
 // lbsd builds and ticks its releaser: counting the events must not
 // touch the gsp cache the audits use, so its size and misses stay as
@@ -352,7 +381,7 @@ func TestFlagSurface(t *testing.T) {
 		"stream-history=64",
 		"stream-per-user=64",
 		"stream-radius=1000",
-		"stream-seed=1",
+		"stream-seed=0",
 		"stream-tick=1m0s",
 		"stream-window=5m0s",
 	}

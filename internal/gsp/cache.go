@@ -4,21 +4,12 @@ import (
 	"encoding/binary"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"poiagg/internal/hash64"
 	"poiagg/internal/obs"
 	"poiagg/internal/poi"
 )
-
-// hotEntry is one cache entry paired with its lifetime hit count; val is
-// the cache's packed vector and must not be mutated.
-type hotEntry struct {
-	key  freqKey
-	val  []byte
-	hits uint64
-}
 
 // appendPacked appends f to dst in the cache's packed form: for each
 // nonzero count in type order, the uvarint gap from the type after the
@@ -102,11 +93,10 @@ const (
 	MetricCacheSize      = "gsp.cache.size"
 )
 
-// ExportMetrics publishes the cache's hit/miss/eviction/size counters,
-// the singleflight leader/shared/hits counters, and the tiered store's
-// warmed/rejected counters into reg, sampled lazily at snapshot time so
-// the Freq hot path pays nothing for the export. No-op when caching is
-// disabled.
+// ExportMetrics publishes the cache's hit/miss/eviction/size counters
+// and the singleflight leader/shared/hits counters into reg, sampled
+// lazily at snapshot time so the Freq hot path pays nothing for the
+// export. No-op when caching is disabled.
 func (s *Service) ExportMetrics(reg *obs.Registry) {
 	if s.cache == nil || reg == nil {
 		return
@@ -118,8 +108,6 @@ func (s *Service) ExportMetrics(reg *obs.Registry) {
 	reg.CounterFunc(MetricSFLeader, func() uint64 { return s.SingleflightMetrics().Leader })
 	reg.CounterFunc(MetricSFShared, func() uint64 { return s.SingleflightMetrics().Shared })
 	reg.CounterFunc(MetricSFHits, func() uint64 { return s.SingleflightMetrics().Hits })
-	reg.CounterFunc(MetricStoreWarmed, func() uint64 { return s.storeWarmed.Load() })
-	reg.CounterFunc(MetricStoreRejected, func() uint64 { return s.storeRejected.Load() })
 }
 
 // hash mixes the key's coordinate bits through the splitmix64 finalizer
@@ -141,9 +129,6 @@ type slot struct {
 	// touched is the second-chance bit: set by a hit, cleared when the
 	// eviction scan passes the entry over.
 	touched bool
-	// hits counts lookups that returned this entry; the tiered store
-	// ranks entries by it when snapshotting the hottest.
-	hits uint64
 }
 
 // cacheShard is one lock domain of the sharded cache. No per-entry
@@ -251,7 +236,6 @@ func (s *cacheShard) lookup(k freqKey) (b []byte, c *sfCall, lead bool) {
 		s.hits++
 		e := &s.slots[i]
 		e.touched = true
-		e.hits++
 		b = s.packed(e)
 		s.mu.Unlock()
 		return b, nil, false
@@ -292,9 +276,8 @@ func (s *cacheShard) packed(e *slot) []byte {
 	return s.arena[e.off : e.off+e.n : e.off+e.n]
 }
 
-// put packs f into the cache under k outside any call: warm start seeds
-// the cache with it, and a joiner whose leader panicked stores its own
-// compute.
+// put packs f into the cache under k outside any call: a joiner whose
+// leader panicked stores its own compute with it.
 func (c *shardedCache) put(k freqKey, f poi.FreqVector) []byte {
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -310,9 +293,9 @@ func (s *cacheShard) store(k freqKey, f poi.FreqVector) []byte {
 	s.arena = appendPacked(s.arena, f)
 	n := len(s.arena) - off
 	if i, ok := s.index[k]; ok {
-		// A put over a live entry — warm start over a serving cache, or
-		// a joiner whose leader panicked racing the key's next leader:
-		// refresh the value and recency, keep the size unchanged.
+		// A put over a live entry — another joiner of the same panicked
+		// leader, or the key's next leader, stored it first: refresh the
+		// value and recency, keep the size unchanged.
 		e := &s.slots[i]
 		s.live += n - e.n
 		e.off, e.n = off, n
@@ -398,41 +381,6 @@ func (s *cacheShard) compact() {
 		e.off = off
 	}
 	s.arena = arena
-}
-
-func (c *shardedCache) hottest(n int) []hotEntry {
-	if n <= 0 {
-		return nil
-	}
-	var out []hotEntry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for j := s.head; j >= 0; j = s.slots[j].next {
-			e := &s.slots[j]
-			out = append(out, hotEntry{key: e.key, val: s.packed(e), hits: e.hits})
-		}
-		s.mu.Unlock()
-	}
-	// Hottest first; ties broken by key so the order — and therefore the
-	// snapshot bytes — is deterministic for a given cache state.
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.hits != b.hits {
-			return a.hits > b.hits
-		}
-		if a.key.x != b.key.x {
-			return a.key.x < b.key.x
-		}
-		if a.key.y != b.key.y {
-			return a.key.y < b.key.y
-		}
-		return a.key.r < b.key.r
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
 }
 
 func (c *shardedCache) metrics() (CacheMetrics, SingleflightMetrics) {

@@ -280,10 +280,13 @@ func TestFreqCacheArenaBound(t *testing.T) {
 		t.Fatal("no shard ever compacted; test is vacuous")
 	}
 	got := poi.NewFreqVector(m)
-	for _, e := range c.hottest(1 << 30) {
-		unpackFreq(got, e.val)
-		if !got.Equal(want[e.key]) {
-			t.Fatalf("key %v: cached %v, last stored %v", e.key, got, want[e.key])
+	for j := range c.shards {
+		s := &c.shards[j]
+		for k, si := range s.index {
+			unpackFreq(got, s.packed(&s.slots[si]))
+			if !got.Equal(want[k]) {
+				t.Fatalf("key %v: cached %v, last stored %v", k, got, want[k])
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ package gsp_test
 // the external test package because citygen imports gsp.
 
 import (
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -34,10 +33,9 @@ func nyc(tb testing.TB) *citygen.City {
 // compactions never stop, must answer every nyc Freq at the paper's
 // radii exactly as an uncached service does. Eight goroutines mix a
 // shared pool of repeated keys (hits and singleflight joins) with fresh
-// ones (misses), and one of them keeps snapshotting the cache and
-// warm-starting it from the snapshot, which refreshes live keys. Readers
-// therefore unpack while other goroutines append to and compact the same
-// shard; under -race this is the arena's data-race proof.
+// ones (misses). Readers therefore unpack while other goroutines append
+// to and compact the same shard; under -race this is the arena's
+// data-race proof.
 func TestCachedFreqMatchesUncachedNYC(t *testing.T) {
 	city := nyc(t)
 	const capacity = 64
@@ -48,7 +46,6 @@ func TestCachedFreqMatchesUncachedNYC(t *testing.T) {
 	for i := range want {
 		want[i] = bare.Freq(pool[i/len(paperRadii)], paperRadii[i%len(paperRadii)])
 	}
-	path := filepath.Join(t.TempDir(), gsp.StoreFileName)
 
 	const workers, ops = 8, 400
 	var wg sync.WaitGroup
@@ -60,16 +57,6 @@ func TestCachedFreqMatchesUncachedNYC(t *testing.T) {
 			fresh := city.RandomLocations(ops, uint64(200+g))
 			out := poi.NewFreqVector(city.M())
 			for i := 0; i < ops; i++ {
-				if g == 0 && i%25 == 24 {
-					if _, err := svc.SaveStore(path, capacity); err != nil {
-						t.Error(err)
-						return
-					}
-					if _, err := svc.WarmStart(path); err != nil {
-						t.Error(err)
-						return
-					}
-				}
 				var l geo.Point
 				var r float64
 				var exp poi.FreqVector

@@ -13,11 +13,8 @@ package gsp
 
 import (
 	"fmt"
-	"math"
-	"sync/atomic"
 
 	"poiagg/internal/geo"
-	"poiagg/internal/hash64"
 	"poiagg/internal/index"
 	"poiagg/internal/poi"
 )
@@ -33,7 +30,6 @@ type City struct {
 	cityFreq poi.FreqVector
 	rank     []int // infrequency rank per type (most infrequent = 1)
 	idx      index.Index
-	cellSize float64 // spatial-index grid cell size in meters
 }
 
 // NewCity builds a city from a POI set. The cell size of the spatial index
@@ -64,7 +60,6 @@ func NewCity(name string, bounds geo.Rect, types *poi.TypeTable, pois []poi.POI)
 		cityFreq: cityFreq,
 		rank:     poi.RankByFrequency(cityFreq),
 		idx:      index.NewGrid(cp, bounds, cellSize),
-		cellSize: cellSize,
 	}, nil
 }
 
@@ -75,35 +70,8 @@ func (c *City) M() int { return c.Types.Len() }
 // generators and tests use it to instrument or pad index lookups — e.g.
 // padding CountTypes with fixed CPU work so a small synthetic city
 // reproduces the contention behavior of a dense production one. Not safe
-// to call concurrently with queries; the wrapped index does not affect
-// Fingerprint.
+// to call concurrently with queries.
 func (c *City) WrapIndex(wrap func(index.Index) index.Index) { c.idx = wrap(c.idx) }
-
-// Fingerprint returns a stable hash of the city's identity — name,
-// bounds, type count, and every POI's id/type/position. Two City values
-// built from the same inputs fingerprint identically across processes;
-// any difference in the data yields (with overwhelming probability) a
-// different hash. The tiered freq store keys its snapshots on it so a
-// snapshot taken over one city is never trusted for another.
-func (c *City) Fingerprint() uint64 {
-	h := hash64.FNV(hash64.FNVOffset, c.Name)
-	word := func(v uint64) {
-		h = hash64.Mix(h ^ v)
-	}
-	word(math.Float64bits(c.Bounds.MinX))
-	word(math.Float64bits(c.Bounds.MinY))
-	word(math.Float64bits(c.Bounds.MaxX))
-	word(math.Float64bits(c.Bounds.MaxY))
-	word(uint64(c.M()))
-	word(uint64(len(c.pois)))
-	for _, p := range c.pois {
-		word(uint64(p.ID))
-		word(uint64(p.Type))
-		word(math.Float64bits(p.Pos.X))
-		word(math.Float64bits(p.Pos.Y))
-	}
-	return hash64.Mix(h)
-}
 
 // NumPOIs returns the number of POIs.
 func (c *City) NumPOIs() int { return len(c.pois) }
@@ -152,12 +120,6 @@ func (c *City) InfrequencyRank() []int { return c.rank }
 type Service struct {
 	city  *City
 	cache *shardedCache // nil when caching is disabled
-
-	// storeRejected/storeWarmed count tiered-store snapshot loads
-	// (store.go): entries seeded into the cache, and snapshots refused
-	// for failing validation.
-	storeRejected atomic.Uint64
-	storeWarmed   atomic.Uint64
 }
 
 type freqKey struct {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"poiagg/internal/geo"
 	"poiagg/internal/index"
@@ -98,31 +99,41 @@ func TestSingleflightCollapsesConcurrentMisses(t *testing.T) {
 }
 
 // panicOnceIndex panics on the first CountTypes call and answers
-// normally afterwards — the poisoned-leader scenario.
+// normally afterwards — the poisoned-leader scenario. The first call
+// panics only once ready reports true (or after 10 s), so a test can
+// hold the leader until the other requests have joined its call.
 type panicOnceIndex struct {
 	index.Index
 	tripped atomic.Bool
+	ready   func() bool
 }
 
 func (p *panicOnceIndex) CountTypes(out poi.FreqVector, center geo.Point, radius float64) {
 	if p.tripped.CompareAndSwap(false, true) {
+		for deadline := time.Now().Add(10 * time.Second); !p.ready() && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
 		panic("singleflight test: leader poisoned")
 	}
 	p.Index.CountTypes(out, center, radius)
 }
 
 // TestSingleflightLeaderPanicDoesNotPoisonWaiters arranges a leader
-// whose compute panics while joiners wait on it: the panic must reach
-// only the leader's caller, every joiner must fall back and return the
-// correct vector, and the shard must not leak the dead call (a later
-// request for the key must succeed normally).
+// whose compute panics while every other request waits on it: the
+// panic must reach only the leader's caller, every joiner must fall
+// back, compute and store the key itself — the first store inserts it,
+// the rest refresh the live entry — and return the correct vector, and
+// the shard must not leak the dead call (a later request for the key
+// must succeed normally).
 func TestSingleflightLeaderPanicDoesNotPoisonWaiters(t *testing.T) {
 	city := cacheCity(t, 2000, 30)
 	want := NewService(city, 0).Freq(geo.Point{X: 5000, Y: 5000}, 800)
-	city.idx = &panicOnceIndex{Index: city.idx}
+	poisoned := &panicOnceIndex{Index: city.idx}
+	city.idx = poisoned
 	svc := NewService(city, 1<<10)
 
 	const goroutines = 12
+	poisoned.ready = func() bool { return svc.SingleflightMetrics().Hits == goroutines-1 }
 	l := geo.Point{X: 5000, Y: 5000}
 	var panics atomic.Int64
 	var start, done sync.WaitGroup
@@ -152,13 +163,21 @@ func TestSingleflightLeaderPanicDoesNotPoisonWaiters(t *testing.T) {
 	if got := panics.Load(); got != 1 {
 		t.Errorf("%d goroutines observed the panic, want exactly the leader (1)", got)
 	}
-	// The dead call must be unregistered: a fresh request works.
+	m := svc.SingleflightMetrics()
+	if m.Hits != goroutines-1 || m.Shared != 0 {
+		t.Errorf("joins=%d shared=%d, want %d joiners that all fell back", m.Hits, m.Shared, goroutines-1)
+	}
+	if n := svc.CacheMetrics().Size; n != 1 {
+		t.Errorf("cache holds %d entries after the joiners stored one key, want 1", n)
+	}
+	// The dead call must be unregistered, and a fresh request works.
+	for i := range svc.cache.shards {
+		if n := len(svc.cache.shards[i].calls); n != 0 {
+			t.Errorf("shard %d still holds %d in-flight calls", i, n)
+		}
+	}
 	if f := svc.Freq(l, 800); !f.Equal(want) {
 		t.Errorf("post-panic request: got %v want %v", f, want)
-	}
-	m := svc.SingleflightMetrics()
-	if m.Hits < m.Shared {
-		t.Errorf("shared=%d exceeds joins=%d", m.Shared, m.Hits)
 	}
 }
 

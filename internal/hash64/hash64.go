@@ -1,9 +1,8 @@
 // Package hash64 holds the two non-cryptographic 64-bit hashes the
 // repository shares: the splitmix64 finalizer and FNV-1a. Their outputs
-// are persisted (city fingerprints and record checksums in freq-store
-// snapshots) and decide placement (consistent-hash ring positions,
-// ledger and cache shards), so they must never change; golden_test.go
-// pins them.
+// decide placement (consistent-hash ring positions, ledger and cache
+// shards) and derive the seeds of split rng streams, so they must never
+// change; golden_test.go pins them.
 package hash64
 
 // FNVOffset is the FNV-1a 64-bit offset basis, the state before any
@@ -21,7 +20,7 @@ func Mix(x uint64) uint64 {
 }
 
 // FNV folds the bytes of s into the FNV-1a state h.
-func FNV[T string | []byte](h uint64, s T) uint64 {
+func FNV(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -496,6 +497,83 @@ func TestAuthBudgetAdminCrossTenantForbidden(t *testing.T) {
 	}
 	if st := led.Status("alice"); st.Releases != 0 {
 		t.Errorf("alice's own reset did not take: %+v", st)
+	}
+}
+
+// tenantClients returns an auth-on LBS server with principals alice and
+// bob, and one signed client per principal.
+func tenantClients(t *testing.T) (alice, bob *LBSClient) {
+	t.Helper()
+	ts, _ := newLBSTestServer(t, WithAuth(mustKeyring(t, "alice", "bob"))) // keys 'A' and 'B'
+	alice = NewLBSClient(ts.URL, ts.Client(), WithSigningKey("alice", testKey('A')))
+	bob = NewLBSClient(ts.URL, ts.Client(), WithSigningKey("bob", testKey('B')))
+	return alice, bob
+}
+
+// releaseRadii reads userID's history through c and returns each stored
+// release's radius, which the tests below use to tell releases apart.
+func releaseRadii(t *testing.T, c *LBSClient, userID string) []float64 {
+	t.Helper()
+	hist, err := c.Releases(context.Background(), userID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs []float64
+	for _, rel := range hist.Releases {
+		rs = append(rs, rel.R)
+	}
+	return rs
+}
+
+// TestAuthReleasesReadOnlyOwnTenant: bob's stored release is his own.
+// Alice signs a read of bob's userId and must get none of it back.
+func TestAuthReleasesReadOnlyOwnTenant(t *testing.T) {
+	alice, bob := tenantClients(t)
+	rel := testRelease(t, "bob-user")
+	if _, err := bob.Release(context.Background(), rel); err != nil {
+		t.Fatal(err)
+	}
+	if got := releaseRadii(t, alice, "bob-user"); len(got) != 0 {
+		t.Errorf("alice read %d of bob's releases (radii %v), want none", len(got), got)
+	}
+	if got := releaseRadii(t, bob, "bob-user"); len(got) != 1 {
+		t.Errorf("bob reads %d of his own releases, want 1", len(got))
+	}
+}
+
+// TestAuthReleasesWriteOnlyOwnTenant: a release alice signs under bob's
+// userId lands in alice's history, not in bob's. Without auth the same
+// holds for the fallback identities: a release sent with X-Principal
+// alice is not read back by an unsigned read, whose principal falls
+// back to the userId.
+func TestAuthReleasesWriteOnlyOwnTenant(t *testing.T) {
+	ctx := context.Background()
+	alice, bob := tenantClients(t)
+	bobs, alices := testRelease(t, "bob-user"), testRelease(t, "bob-user")
+	bobs.R, alices.R = 900, 1000
+	if _, err := bob.Release(ctx, bobs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Release(ctx, alices); err != nil {
+		t.Fatal(err)
+	}
+	if got := releaseRadii(t, bob, "bob-user"); !slices.Equal(got, []float64{900}) {
+		t.Errorf("bob's history holds radii %v, want only his own [900]", got)
+	}
+	if got := releaseRadii(t, alice, "bob-user"); !slices.Equal(got, []float64{1000}) {
+		t.Errorf("alice's history holds radii %v, want only her own [1000]", got)
+	}
+
+	ts, plain := newLBSTestServer(t)
+	spoofer := NewLBSClient(ts.URL, ts.Client(), WithPrincipal("alice"))
+	if _, err := spoofer.Release(ctx, alices); err != nil {
+		t.Fatal(err)
+	}
+	if got := releaseRadii(t, plain, "bob-user"); len(got) != 0 {
+		t.Errorf("without auth, bob-user's read holds alice's releases (radii %v)", got)
+	}
+	if got := releaseRadii(t, spoofer, "bob-user"); !slices.Equal(got, []float64{1000}) {
+		t.Errorf("without auth, alice's read holds radii %v, want [1000]", got)
 	}
 }
 

@@ -49,8 +49,15 @@ type LBSServer struct {
 	m int // expected vector dimension
 
 	mu      sync.Mutex
-	history map[string]*userHistory
-	userQ   []string // second-chance queue over user IDs, front = oldest
+	history map[historyKey]*userHistory
+	userQ   []historyKey // second-chance queue over stored users, front = oldest
+}
+
+// historyKey names one stored history: a userId within the principal
+// that released under it. Two tenants may use the same userId, and each
+// reads only its own.
+type historyKey struct {
+	principal, userID string
 }
 
 // lbsSettings are the settings only the LBS server reads.
@@ -144,7 +151,7 @@ func NewLBSServer(m int, opts ...ServerOption) *LBSServer {
 	s := &LBSServer{
 		lbsSettings: st.lbs,
 		m:           m,
-		history:     make(map[string]*userHistory),
+		history:     make(map[historyKey]*userHistory),
 	}
 	s.initCore(st, nil)
 	s.mux.HandleFunc("POST "+PathRelease, s.handleRelease)
@@ -208,9 +215,10 @@ func (s *LBSServer) handleRelease(w http.ResponseWriter, r *http.Request) {
 
 	// Charge the privacy budget before any effect (history, audit): a
 	// denied release must leave no trace and cost no audit work.
+	principal := s.principalFromRequest(r, rel)
 	var budgetState *BudgetState
 	if s.ledger != nil {
-		dec, err := s.ledger.Spend(s.principalFromRequest(r, rel), s.releaseEps, s.releaseDelta)
+		dec, err := s.ledger.Spend(principal, s.releaseEps, s.releaseDelta)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
@@ -229,7 +237,7 @@ func (s *LBSServer) handleRelease(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.storeRelease(rel)
+	s.storeRelease(historyKey{principal, rel.UserID}, rel)
 
 	resp := ReleaseResponse{Accepted: true, Budget: budgetState}
 	if s.auditor != nil {
@@ -239,15 +247,15 @@ func (s *LBSServer) handleRelease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// storeRelease appends rel to its user's history, bounding both the
+// storeRelease appends rel to the history under key, bounding both the
 // per-user entry count (historyLimit) and the total distinct users
 // (historyUsers, second-chance eviction — same one-bit LRU approximation as
 // the GSP freq cache, so steadily active users survive a flood of
 // one-shot userIds).
-func (s *LBSServer) storeRelease(rel ReleaseRequest) {
+func (s *LBSServer) storeRelease(key historyKey, rel ReleaseRequest) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	uh := s.history[rel.UserID]
+	uh := s.history[key]
 	if uh == nil {
 		for len(s.history) >= s.historyUsers && len(s.userQ) > 0 {
 			oldest := s.userQ[0]
@@ -264,8 +272,8 @@ func (s *LBSServer) storeRelease(rel ReleaseRequest) {
 			delete(s.history, oldest)
 		}
 		uh = &userHistory{}
-		s.history[rel.UserID] = uh
-		s.userQ = append(s.userQ, rel.UserID)
+		s.history[key] = uh
+		s.userQ = append(s.userQ, key)
 	}
 	uh.touched = true
 	uh.rels = append(uh.rels, rel)
@@ -274,13 +282,14 @@ func (s *LBSServer) storeRelease(rel ReleaseRequest) {
 	}
 }
 
-// principalFromRequest resolves the budget principal for a release.
-// With auth enabled, the signature-verified identity is the ONLY one
-// consulted — the client-asserted X-Principal header and ?principal=
-// query parameter are ignored, closing the hole where any client could
-// charge (or, via the admin reset, refill) another tenant's budget.
-// Without auth the historical fallback chain applies: X-Principal
-// header, ?principal= query parameter, then the release's userId.
+// principalFromRequest resolves the principal a release is charged to
+// and stored under, or a history read is answered from. With auth
+// enabled, the signature-verified identity is the ONLY one consulted —
+// the client-asserted X-Principal header and ?principal= query
+// parameter are ignored, closing the hole where any client could charge
+// (or, via the admin reset, refill) another tenant's budget, or read
+// its history. Without auth the historical fallback chain applies:
+// X-Principal header, ?principal= query parameter, then the userId.
 func (s *LBSServer) principalFromRequest(r *http.Request, rel ReleaseRequest) string {
 	if s.auth != nil {
 		// The auth middleware rejected anything unsigned before it could
@@ -357,15 +366,18 @@ func (s *LBSServer) handleBudgetReset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, budgetStateOf(s.ledger.Status(principal)))
 }
 
+// handleReleases answers from the caller's own releases only: the
+// history of ?user= under the principal the request resolves to.
 func (s *LBSServer) handleReleases(w http.ResponseWriter, r *http.Request) {
 	userID := r.URL.Query().Get("user")
 	if userID == "" {
 		writeError(w, http.StatusBadRequest, "missing user parameter")
 		return
 	}
+	key := historyKey{s.principalFromRequest(r, ReleaseRequest{UserID: userID}), userID}
 	s.mu.Lock()
 	var out []ReleaseRequest
-	if uh := s.history[userID]; uh != nil {
+	if uh := s.history[key]; uh != nil {
 		// A read is activity too: mark the user so eviction spares it.
 		uh.touched = true
 		out = make([]ReleaseRequest, len(uh.rels))
