@@ -61,12 +61,14 @@ bench-diff:
 		-benchmem -benchtime=1s -count=5 $(BENCH_CORE_PKGS) \
 		| $(GO) run ./cmd/benchjson -prev BENCH_core.json
 
-# fuzz-smoke runs the auth fuzz targets briefly (the corpus seeds already
-# run as plain unit tests under `make test`; this adds a short mutation
-# pass). Go allows one -fuzz pattern per invocation, hence two runs.
+# fuzz-smoke runs the two auth fuzz targets and the second-chance map's
+# differential target briefly (the corpus seeds already run as plain unit
+# tests under `make test`; this adds a short mutation pass). Go allows
+# one -fuzz pattern per invocation, hence three runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCanonicalString' -fuzztime 15s ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzVerifyRequest' -fuzztime 15s ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzMapMatchesReference' -fuzztime 15s ./internal/secondchance
 
 # e2e-cluster runs the multi-node proof layer under the race detector:
 # the consistent-hash ring property tests, the differential cluster e2e

@@ -173,6 +173,9 @@ func (d *daemon) close(logger *log.Logger) {
 // build assembles lbsd from cfg without binding a listener. When it
 // fails, it drains whatever it had already opened.
 func build(cfg *config, logger *log.Logger) (_ *daemon, err error) {
+	if cfg.historyLimit < 1 || cfg.historyUsers < 1 {
+		return nil, fmt.Errorf("-history %d and -history-users %d must both be at least 1", cfg.historyLimit, cfg.historyUsers)
+	}
 	var p citygen.Params
 	switch cfg.cityName {
 	case "beijing":

@@ -54,6 +54,24 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsHistoryBelowOne: -history and -history-users below 1
+// fail at startup, with or without -stream, rather than charge releases
+// the history cannot store or silently fall back to the default cap.
+func TestBuildRejectsHistoryBelowOne(t *testing.T) {
+	logger := log.New(io.Discard, "", 0)
+	for _, args := range [][]string{{"-history", "0"}, {"-history", "-1"}, {"-history-users", "0"}} {
+		fs := flag.NewFlagSet("lbsd", flag.ContinueOnError)
+		cfg := declareFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := build(cfg, logger); err == nil {
+			d.close(logger)
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
 // TestAuditedReleaseExportsGSPMetrics drives one audited release
 // through the server lbsd builds: the audit's region attack probes the
 // gsp cache, so /v1/metrics must carry its counters with a miss.

@@ -9,6 +9,7 @@ import (
 	"poiagg/internal/hash64"
 	"poiagg/internal/obs"
 	"poiagg/internal/poi"
+	"poiagg/internal/secondchance"
 )
 
 // appendPacked appends f to dst in the cache's packed form: for each
@@ -119,43 +120,30 @@ func (k freqKey) hash() uint64 {
 	return hash64.Mix(h ^ math.Float64bits(k.r))
 }
 
-// slot is one memoized Freq result: its key, where its packed vector
-// lives in the shard's arena, and its link on the shard's second-chance
-// FIFO queue (or, once evicted, on the free-slot list).
-type slot struct {
-	key    freqKey
-	off, n int   // packed vector = arena[off : off+n]
-	next   int32 // next slot on the FIFO or free list; -1 ends it
-	// touched is the second-chance bit: set by a hit, cleared when the
-	// eviction scan passes the entry over.
-	touched bool
-}
+// span locates one packed vector in its shard's arena:
+// arena[off : off+n].
+type span struct{ off, n int }
 
 // cacheShard is one lock domain of the sharded cache. No per-entry
-// state holds a pointer: the index maps pointer-free keys to int32 slot
-// numbers, slots link by number, and every packed vector lives in one
-// []byte arena. The runtime allocates all three as no-scan memory, so a
-// GC cycle marks the slot table, the arena and the map's tables (one
-// per up to 1,024 entries) instead of two objects per entry.
+// state holds a pointer: entries maps pointer-free keys to spans of one
+// []byte arena that holds every packed vector. The runtime allocates
+// the entries' slot table and the arena as no-scan memory, so a GC cycle
+// marks them and the index map's tables (one per up to 1,024 entries)
+// instead of two objects per entry.
 //
 // The same lock covers the shard's in-flight calls (singleflight.go),
 // so a lookup that misses joins the key's call or registers a new one
 // in the step that counted the miss.
 type cacheShard struct {
-	mu    sync.Mutex
-	index map[freqKey]int32
-	slots []slot
-	head  int32 // oldest live slot; -1 when empty
-	tail  int32 // newest live slot; -1 when empty
-	free  int32 // first free slot; -1 when none
+	mu      sync.Mutex
+	entries secondchance.Map[freqKey, span]
 	// arena holds the packed vectors. Bytes below len(arena) are never
 	// rewritten: a refresh or an eviction leaves its old bytes dead in
 	// place, and compaction copies the live ones into a fresh arena, so
 	// a slice returned by lookup stays valid and unchanged after the
 	// lock is released.
 	arena []byte
-	live  int // arena bytes that live slots refer to
-	cap   int
+	live  int // arena bytes that live entries refer to
 	// calls maps each key being computed to its call. It is the shard's
 	// only pointerful state, and holds one entry per computing leader.
 	calls map[freqKey]*sfCall
@@ -165,30 +153,30 @@ type cacheShard struct {
 }
 
 func (s *cacheShard) init(capacity int) {
-	s.cap = capacity
-	s.index = make(map[freqKey]int32, min(capacity, 1024))
-	s.head, s.tail, s.free = -1, -1, -1
+	s.entries.Init(capacity, nil)
 	s.calls = make(map[freqKey]*sfCall)
 }
 
 // shardedCache is the Service's Freq cache: power-of-two lock shards
 // selected by hashed key, per-shard second-chance (CLOCK) eviction —
-// the classic one-bit LRU approximation. A hit only sets the entry's
-// touched bit, so the hit critical section is exactly a map lookup (no
-// recency-list surgery), and eviction is true per-entry: the oldest
-// untouched entry goes, recently used entries are spared. Concurrent
-// sweeps therefore contend only when their keys collide on a shard, and
-// a full cache sheds cold entries instead of wiping the hot working set
-// (the pre-sharding design's clear-all degraded to a 0% hit rate
-// mid-sweep every time it filled).
+// the classic one-bit LRU approximation (package secondchance). A hit
+// only marks the entry, so the hit critical section is exactly a map
+// lookup (no recency-list surgery), and eviction is true per-entry: the
+// oldest unmarked entry goes, recently used entries are spared. A fill
+// starts unmarked, so a key no lookup reuses is the first to go.
+// Concurrent sweeps therefore contend only when their keys collide on a
+// shard, and a full cache sheds cold entries instead of wiping the hot
+// working set (the pre-sharding design's clear-all degraded to a 0% hit
+// rate mid-sweep every time it filled).
 //
 // Vectors are held packed (appendPacked). The cache never retains a
 // caller's vector, and never rewrites bytes it has handed out, so
 // callers unpack them (unpackFreq) without holding any lock, and must
 // not modify them.
 type shardedCache struct {
-	shards []cacheShard
-	mask   uint64
+	shards   []cacheShard
+	mask     uint64
+	capacity int
 }
 
 // shardCountFor picks the shard count: a power of two sized to roughly
@@ -207,7 +195,7 @@ func shardCountFor(capacity int) int {
 
 func newShardedCache(capacity int) *shardedCache {
 	n := shardCountFor(capacity)
-	c := &shardedCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
+	c := &shardedCache{shards: make([]cacheShard, n), mask: uint64(n - 1), capacity: capacity}
 	base, extra := capacity/n, capacity%n
 	for i := range c.shards {
 		sc := base
@@ -232,11 +220,9 @@ func (c *shardedCache) shardFor(k freqKey) *cacheShard {
 // exactly one leader or one join.
 func (s *cacheShard) lookup(k freqKey) (b []byte, c *sfCall, lead bool) {
 	s.mu.Lock()
-	if i, ok := s.index[k]; ok {
+	if sp, ok := s.entries.Get(k); ok {
 		s.hits++
-		e := &s.slots[i]
-		e.touched = true
-		b = s.packed(e)
+		b = s.packed(sp)
 		s.mu.Unlock()
 		return b, nil, false
 	}
@@ -270,10 +256,10 @@ func (s *cacheShard) fill(k freqKey, c *sfCall, f poi.FreqVector) {
 	c.wg.Done()
 }
 
-// packed returns e's bytes, capped so no append through them can reach
+// packed returns sp's bytes, capped so no append through them can reach
 // bytes the shard owns. Caller holds the shard lock.
-func (s *cacheShard) packed(e *slot) []byte {
-	return s.arena[e.off : e.off+e.n : e.off+e.n]
+func (s *cacheShard) packed(sp span) []byte {
+	return s.arena[sp.off : sp.off+sp.n : sp.off+sp.n]
 }
 
 // put packs f into the cache under k outside any call: a joiner whose
@@ -289,81 +275,25 @@ func (c *shardedCache) put(k freqKey, f poi.FreqVector) []byte {
 // store packs f into the arena under k and returns the stored bytes.
 // Caller holds the shard lock.
 func (s *cacheShard) store(k freqKey, f poi.FreqVector) []byte {
-	off := len(s.arena)
+	sp := span{off: len(s.arena)}
 	s.arena = appendPacked(s.arena, f)
-	n := len(s.arena) - off
-	if i, ok := s.index[k]; ok {
-		// A put over a live entry — another joiner of the same panicked
-		// leader, or the key's next leader, stored it first: refresh the
-		// value and recency, keep the size unchanged.
-		e := &s.slots[i]
-		s.live += n - e.n
-		e.off, e.n = off, n
-		e.touched = true
-	} else {
-		i := s.alloc()
-		s.slots[i] = slot{key: k, off: off, n: n}
-		s.enqueue(i)
-		s.index[k] = i
-		s.live += n
-		if len(s.index) > s.cap {
-			s.evictOne()
-		}
+	sp.n = len(s.arena) - sp.off
+	// A put over a live entry — another joiner of the same panicked
+	// leader, or the key's next leader, stored it first — marks it, as a
+	// hit would, and replaces its bytes.
+	if old, ok := s.entries.Get(k); ok {
+		s.live -= old.n
 	}
-	b := s.arena[off : off+n : off+n]
+	if victim, evicted := s.entries.Put(k, sp, false); evicted {
+		s.live -= victim.n
+		s.evictions++
+	}
+	s.live += sp.n
+	b := s.packed(sp)
 	if len(s.arena)-s.live > s.live {
 		s.compact()
 	}
 	return b
-}
-
-// alloc takes a slot off the free list, or grows the slot table when
-// none is free. Caller holds the shard lock.
-func (s *cacheShard) alloc() int32 {
-	if i := s.free; i >= 0 {
-		s.free = s.slots[i].next
-		return i
-	}
-	s.slots = append(s.slots, slot{})
-	return int32(len(s.slots) - 1)
-}
-
-// enqueue appends slot i to the FIFO tail. Caller holds the shard lock.
-func (s *cacheShard) enqueue(i int32) {
-	s.slots[i].next = -1
-	if s.tail >= 0 {
-		s.slots[s.tail].next = i
-	} else {
-		s.head = i
-	}
-	s.tail = i
-}
-
-// evictOne drops the oldest untouched entry: touched entries popped on
-// the way get their bit cleared and a second chance at the tail. The
-// scan terminates — after one full pass every bit is clear, so the
-// second pass evicts at its first stop. The victim's slot goes on the
-// free list and its arena bytes become dead. Caller holds the shard
-// lock.
-func (s *cacheShard) evictOne() {
-	for {
-		i := s.head
-		e := &s.slots[i]
-		s.head = e.next
-		if s.head < 0 {
-			s.tail = -1
-		}
-		if !e.touched {
-			delete(s.index, e.key)
-			s.live -= e.n
-			s.evictions++
-			e.next = s.free
-			s.free = i
-			return
-		}
-		e.touched = false
-		s.enqueue(i)
-	}
 }
 
 // compact copies the live entries' bytes into a fresh arena. store
@@ -374,17 +304,16 @@ func (s *cacheShard) evictOne() {
 // holds the shard lock.
 func (s *cacheShard) compact() {
 	arena := make([]byte, 0, 2*s.live)
-	for i := s.head; i >= 0; i = s.slots[i].next {
-		e := &s.slots[i]
+	for k, sp := range s.entries.All() {
 		off := len(arena)
-		arena = append(arena, s.arena[e.off:e.off+e.n]...)
-		e.off = off
+		arena = append(arena, s.packed(sp)...)
+		s.entries.Put(k, span{off, sp.n}, false)
 	}
 	s.arena = arena
 }
 
 func (c *shardedCache) metrics() (CacheMetrics, SingleflightMetrics) {
-	m := CacheMetrics{Shards: len(c.shards)}
+	m := CacheMetrics{Shards: len(c.shards), Capacity: c.capacity}
 	var sf SingleflightMetrics
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -392,8 +321,7 @@ func (c *shardedCache) metrics() (CacheMetrics, SingleflightMetrics) {
 		m.Hits += s.hits
 		m.Misses += s.misses
 		m.Evictions += s.evictions
-		m.Size += len(s.index)
-		m.Capacity += s.cap
+		m.Size += s.entries.Len()
 		sf.Leader += s.leaders
 		sf.Hits += s.joins
 		sf.Shared += s.shared

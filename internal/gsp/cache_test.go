@@ -261,8 +261,8 @@ func TestFreqCacheArenaBound(t *testing.T) {
 		for j := range c.shards {
 			s := &c.shards[j]
 			refs := 0
-			for _, si := range s.index {
-				refs += s.slots[si].n
+			for _, sp := range s.entries.All() {
+				refs += sp.n
 			}
 			if refs != s.live {
 				t.Fatalf("put %d shard %d: live=%d, entries refer to %d bytes", i, j, s.live, refs)
@@ -282,8 +282,8 @@ func TestFreqCacheArenaBound(t *testing.T) {
 	got := poi.NewFreqVector(m)
 	for j := range c.shards {
 		s := &c.shards[j]
-		for k, si := range s.index {
-			unpackFreq(got, s.packed(&s.slots[si]))
+		for k, sp := range s.entries.All() {
+			unpackFreq(got, s.packed(sp))
 			if !got.Equal(want[k]) {
 				t.Fatalf("key %v: cached %v, last stored %v", k, got, want[k])
 			}

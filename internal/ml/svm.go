@@ -151,14 +151,9 @@ func (s *SVC) Predict(q []float64) int {
 	return s.PredictKernelRow(s.gram.evalRow(q))
 }
 
-// KernelRow computes the biased kernel values between q and the training
-// rows. When many models share one Gram matrix (e.g. the per-type
-// recovery classifiers), compute the row once with any of them and pass
-// it to each model's PredictKernelRow.
-func (s *SVC) KernelRow(q []float64) []float64 { return s.gram.evalRow(q) }
-
 // PredictKernelRow classifies from a precomputed kernel row (see
-// KernelRow).
+// Gram.EvalRow). Models trained on one Gram, like the per-type recovery
+// classifiers, can share one row per query.
 func (s *SVC) PredictKernelRow(kRow []float64) int {
 	best := 0
 	bestScore := s.models[0].score(kRow)

@@ -172,15 +172,6 @@ func (rs *RouteStats) Requests() uint64 {
 	return n
 }
 
-// StatusClass returns the count of responses with status in [c00, c99]
-// for class c in 1..5.
-func (rs *RouteStats) StatusClass(c int) uint64 {
-	if c < 1 || c >= len(rs.byClass) {
-		return 0
-	}
-	return rs.byClass[c].Value()
-}
-
 // maxRoutes caps the per-route map so hostile paths cannot grow the
 // registry without bound; overflow routes aggregate under RouteOther.
 const maxRoutes = 64

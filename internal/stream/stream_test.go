@@ -251,6 +251,33 @@ func TestEvictedUserFreshWindow(t *testing.T) {
 	t.Fatal("re-appeared victim missing from the window")
 }
 
+// TestStoreEvictionIsTenantFair: one principal's flood of fresh users
+// must evict its own windows, not another principal's. Bob streams one
+// event, alice streams for 20 users against a cap of 8, and bob's
+// window must still be live.
+func TestStoreEvictionIsTenantFair(t *testing.T) {
+	const maxUsers = 8
+	st, clock := testStore(t, maxUsers, 4, 10*time.Minute)
+	now := clock.Now()
+	if err := st.Apply(eventAt(t, "bob-user", 0, now), "bob"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := st.Apply(eventAt(t, fmt.Sprintf("alice-%d", i), 1+i, now), "alice"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := st.Stats(); s.UsersEvicted == 0 || s.ActiveUsers > maxUsers {
+		t.Fatalf("after the flood: %+v, want evictions and at most %d users", s, maxUsers)
+	}
+	for _, u := range st.ActiveAt(now) {
+		if u.Principal == "bob" {
+			return
+		}
+	}
+	t.Error("alice's flood evicted bob's window")
+}
+
 // TestCrossPrincipalUserWindowsIsolated pins the window keying: a
 // tenant streaming a userId another tenant already uses gets its own
 // window — it cannot re-attribute the other tenant's buffered events to

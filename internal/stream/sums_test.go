@@ -201,7 +201,7 @@ func checkSums(t *testing.T, st *Store, all bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	total := 0
-	for k, u := range st.users {
+	for k, u := range st.users.All() {
 		total += len(u.events)
 		want := make([]int32, m)
 		counted := 0

@@ -11,6 +11,7 @@ import (
 	"poiagg/internal/gsp"
 	"poiagg/internal/obs"
 	"poiagg/internal/poi"
+	"poiagg/internal/secondchance"
 )
 
 // Store defaults.
@@ -30,8 +31,10 @@ type Config struct {
 	// are pruned (and rejected on arrival).
 	Window time.Duration
 	// MaxUsers caps the distinct (principal, user) windows held; when
-	// full, admitting a new window evicts an idle one via the same
-	// second-chance policy as the LBS release history (-history-users).
+	// full, admitting a new window evicts an idle one by the same
+	// tenant-fair second-chance rule as the LBS release history
+	// (-history-users): only a window of a principal holding at least as
+	// many windows as the newcomer's may go.
 	MaxUsers int
 	// MaxPerUser caps one user's window events; the oldest is dropped
 	// when exceeded.
@@ -72,16 +75,15 @@ type userWindow struct {
 	seen    map[string]bool // ids of live events; nil until an id arrives
 	sum     []int32         // sum of the counted events' vectors; nil while none is counted
 	counted int             // live events whose vector is in sum
-	touched bool            // second-chance bit
 }
 
 // Store holds bounded per-user sliding-window state and a running sum
 // of each user's counted event vectors. Memory is bounded by MaxUsers ×
 // MaxPerUser events, each with its packed vector, plus MaxUsers sums of
 // M int32 each, regardless of how many distinct users stream or how
-// fast: excess users evict via second chance, excess per-user events
-// drop oldest, and stale events are rejected at the door. The dedup set
-// adds at most one id per live event.
+// fast: excess users evict via tenant-fair second chance, excess
+// per-user events drop oldest, and stale events are rejected at the
+// door. The dedup set adds at most one id per live event.
 type Store struct {
 	cfg Config
 	// count fills out with the frequency vector of an event at l. It
@@ -91,10 +93,9 @@ type Store struct {
 	count func(out poi.FreqVector, l geo.Point)
 
 	mu     sync.Mutex
-	users  map[windowKey]*userWindow
-	userQ  []windowKey // second-chance queue; 1:1 with users keys
-	events int         // total events across all windows
-	seq    uint64      // the next event's arrival number
+	users  secondchance.Map[windowKey, *userWindow]
+	events int    // total events across all windows
+	seq    uint64 // the next event's arrival number
 
 	accepted     obs.Counter
 	rejected     obs.Counter
@@ -129,11 +130,12 @@ func NewStore(cfg Config) (*Store, error) {
 		cfg.Clock = time.Now
 	}
 	svc := gsp.NewService(cfg.City, 0)
-	return &Store{
+	s := &Store{
 		cfg:   cfg,
 		count: func(out poi.FreqVector, l geo.Point) { svc.FreqInto(out, l, cfg.Radius) },
-		users: make(map[windowKey]*userWindow),
-	}, nil
+	}
+	s.users.Init(cfg.MaxUsers, func(k windowKey) string { return k.principal })
+	return s, nil
 }
 
 // Config returns the store's effective configuration.
@@ -156,16 +158,20 @@ func (s *Store) Apply(ev Event, principal string) error {
 	defer s.mu.Unlock()
 
 	key := windowKey{principal: principal, userID: ev.UserID}
-	u := s.users[key]
-	if u == nil {
-		u = s.shedLocked()
-		if u == nil {
-			u = &userWindow{}
+	u, ok := s.users.Get(key)
+	if !ok {
+		u = &userWindow{}
+		if old, evicted := s.users.Put(key, u, true); evicted {
+			// The evicted window leaves with its events and its sum; the
+			// new one reuses its event buffer. A tick counting outside
+			// the lock may still hold old, so old lets go of the buffer.
+			s.events -= len(old.events)
+			s.usersEvicted.Inc()
+			clear(old.events)
+			u.events = old.events[:0]
+			*old = userWindow{}
 		}
-		s.users[key] = u
-		s.userQ = append(s.userQ, key)
 	}
-	u.touched = true
 	s.pruneUserLocked(u, now)
 	if ev.ID != "" {
 		if u.seen[ev.ID] {
@@ -194,35 +200,6 @@ func (s *Store) Apply(ev Event, principal string) error {
 	s.events++
 	s.accepted.Inc()
 	return nil
-}
-
-// shedLocked makes room for one new user when the store is at MaxUsers,
-// mirroring the LBS release history's second-chance queue: recently
-// touched users get one reprieve, the first un-touched user is evicted
-// with all their window events and their sum. It returns the evicted
-// window, emptied for reuse, or nil when it evicted none.
-func (s *Store) shedLocked() *userWindow {
-	var free *userWindow
-	for len(s.users) >= s.cfg.MaxUsers && len(s.userQ) > 0 {
-		oldest := s.userQ[0]
-		s.userQ = s.userQ[1:]
-		u := s.users[oldest]
-		if u == nil {
-			continue
-		}
-		if u.touched {
-			u.touched = false
-			s.userQ = append(s.userQ, oldest)
-			continue
-		}
-		s.events -= len(u.events)
-		delete(s.users, oldest)
-		s.usersEvicted.Inc()
-		clear(u.events)
-		*u = userWindow{events: u.events[:0]}
-		free = u
-	}
-	return free
 }
 
 // pruneUserLocked removes the user's events that have fallen out of the
@@ -281,8 +258,7 @@ type pendingEvent struct {
 // no earlier call counted, and returns the users with at least one
 // counted event, sorted by (user id, principal) so downstream
 // aggregation is deterministic. Users whose windows pruned empty stay
-// registered (their map/queue entries are 1:1; only the second-chance
-// shed removes users).
+// registered: only an eviction removes a user.
 //
 // It takes the store lock twice. The first time it prunes and lists
 // the uncounted events; it counts them with the lock released, so
@@ -322,7 +298,7 @@ func (s *Store) ActiveAt(now time.Time) []UserWindow {
 // the events not yet counted, each user's together in arrival order.
 func (s *Store) uncountedLocked(now time.Time) []pendingEvent {
 	var pending []pendingEvent
-	for _, u := range s.users {
+	for _, u := range s.users.All() {
 		s.pruneUserLocked(u, now)
 		for _, e := range u.events {
 			if e.vec == "" {
@@ -361,7 +337,7 @@ func (s *Store) foldLocked(pending []pendingEvent) {
 // sumsLocked copies the sum of every user with a counted event.
 func (s *Store) sumsLocked() []UserWindow {
 	n := 0
-	for _, u := range s.users {
+	for _, u := range s.users.All() {
 		if u.counted > 0 {
 			n++
 		}
@@ -369,7 +345,7 @@ func (s *Store) sumsLocked() []UserWindow {
 	m := s.cfg.City.M()
 	out := make([]UserWindow, 0, n)
 	sums := make([]int, n*m) // one allocation for every copy
-	for k, u := range s.users {
+	for k, u := range s.users.All() {
 		if u.counted == 0 {
 			continue
 		}
@@ -397,7 +373,7 @@ type Stats struct {
 // Stats snapshots the store's gauges and counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	users, events := len(s.users), s.events
+	users, events := s.users.Len(), s.events
 	s.mu.Unlock()
 	return Stats{
 		ActiveUsers:  users,
@@ -426,7 +402,7 @@ func (s *Store) ExportMetrics(reg *obs.Registry) {
 	reg.CounterFunc(MetricActiveUsers, func() uint64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return uint64(len(s.users))
+		return uint64(s.users.Len())
 	})
 	reg.CounterFunc(MetricWindowEvents, func() uint64 {
 		s.mu.Lock()

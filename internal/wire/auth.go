@@ -498,17 +498,6 @@ func WithAuthClock(clock func() time.Time) AuthOption {
 	}
 }
 
-// WithAuthNonceCap bounds the replay cache's resident entries (default
-// DefaultAuthNonceCap). Past the cap the oldest entries are evicted
-// early.
-func WithAuthNonceCap(n int) AuthOption {
-	return func(a *authenticator) {
-		if n > 0 {
-			a.nonces = newNonceCache(n)
-		}
-	}
-}
-
 func newAuthenticator(keys *Keyring, opts ...AuthOption) *authenticator {
 	a := &authenticator{
 		keys:     keys,

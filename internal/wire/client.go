@@ -448,16 +448,6 @@ func (c *GSPClient) Freq(ctx context.Context, l geo.Point, r float64) (poi.FreqV
 	return out.Freq, nil
 }
 
-// ClusterPeers lists a cluster gateway's membership (admin surface; a
-// no-op against a plain gspd, which 404s).
-func (c *GSPClient) ClusterPeers(ctx context.Context) (*ClusterPeersResponse, error) {
-	var out ClusterPeersResponse
-	if err := c.core.do(ctx, http.MethodGet, PathClusterPeers, nil, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // ClusterJoin asks a cluster gateway to admit the shard at peerURL and
 // returns the post-join membership. The gateway probes the shard's
 // readiness and checks that it serves the fleet's city before it takes

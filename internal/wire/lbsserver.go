@@ -13,6 +13,7 @@ import (
 	"poiagg/internal/budget"
 	"poiagg/internal/gsp"
 	"poiagg/internal/poi"
+	"poiagg/internal/secondchance"
 	"poiagg/internal/stream"
 )
 
@@ -49,8 +50,7 @@ type LBSServer struct {
 	m int // expected vector dimension
 
 	mu      sync.Mutex
-	history map[historyKey]*userHistory
-	userQ   []historyKey // second-chance queue over stored users, front = oldest
+	history secondchance.Map[historyKey, []ReleaseRequest]
 }
 
 // historyKey names one stored history: a userId within the principal
@@ -78,12 +78,6 @@ type lbsSettings struct {
 	streamRel   *stream.Releaser
 }
 
-// userHistory is one user's stored releases plus its second-chance bit.
-type userHistory struct {
-	rels    []ReleaseRequest
-	touched bool
-}
-
 // MetricLBSHistoryUsers gauges the number of distinct users with stored
 // history; bounded by WithHistoryUsers.
 const MetricLBSHistoryUsers = "lbs.history_users"
@@ -103,18 +97,23 @@ func WithAuditor(a Auditor) ServerOption {
 	return func(st *serverSettings) { st.lbs.auditor = a }
 }
 
-// WithHistoryLimit caps stored releases per user (default 1000). Only
-// the LBS server reads it.
+// WithHistoryLimit caps stored releases per user (default 1000); n
+// below 1 is ignored. Only the LBS server reads it.
 func WithHistoryLimit(n int) ServerOption {
-	return func(st *serverSettings) { st.lbs.historyLimit = n }
+	return func(st *serverSettings) {
+		if n > 0 {
+			st.lbs.historyLimit = n
+		}
+	}
 }
 
-// WithHistoryUsers caps the number of distinct users with stored
-// history (default DefaultHistoryUsers). Past the cap, the least
-// recently active user is evicted second-chance style — a flood of
-// unique userIds can no longer grow the history map without bound,
-// while users that keep releasing (or being read) survive. Only the LBS
-// server reads it.
+// WithHistoryUsers caps the number of distinct (principal, userId)
+// histories (default DefaultHistoryUsers); n below 1 is ignored. Past
+// the cap, a new history evicts the least recently active one by second
+// chance, from a principal holding at least as many histories as the
+// newcomer's: a flood of unique userIds can neither grow the history
+// without bound nor evict a tenant holding fewer, and users that keep
+// releasing (or being read) survive. Only the LBS server reads it.
 func WithHistoryUsers(n int) ServerOption {
 	return func(st *serverSettings) {
 		if n > 0 {
@@ -148,11 +147,8 @@ func WithBudget(led *budget.Ledger, eps, delta float64) ServerOption {
 // and WithStream.
 func NewLBSServer(m int, opts ...ServerOption) *LBSServer {
 	st := newSettings(nil, opts)
-	s := &LBSServer{
-		lbsSettings: st.lbs,
-		m:           m,
-		history:     make(map[historyKey]*userHistory),
-	}
+	s := &LBSServer{lbsSettings: st.lbs, m: m}
+	s.history.Init(s.historyUsers, func(k historyKey) string { return k.principal })
 	s.initCore(st, nil)
 	s.mux.HandleFunc("POST "+PathRelease, s.handleRelease)
 	s.mux.HandleFunc("GET "+PathReleases, s.handleReleases)
@@ -171,7 +167,7 @@ func NewLBSServer(m int, opts ...ServerOption) *LBSServer {
 	s.reg.CounterFunc(MetricLBSHistoryUsers, func() uint64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return uint64(len(s.history))
+		return uint64(s.history.Len())
 	})
 	return s
 }
@@ -248,38 +244,17 @@ func (s *LBSServer) handleRelease(w http.ResponseWriter, r *http.Request) {
 }
 
 // storeRelease appends rel to the history under key, bounding both the
-// per-user entry count (historyLimit) and the total distinct users
-// (historyUsers, second-chance eviction — same one-bit LRU approximation as
-// the GSP freq cache, so steadily active users survive a flood of
-// one-shot userIds).
+// per-user entry count (historyLimit) and the distinct histories
+// (historyUsers, evicted as WithHistoryUsers says).
 func (s *LBSServer) storeRelease(key historyKey, rel ReleaseRequest) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	uh := s.history[key]
-	if uh == nil {
-		for len(s.history) >= s.historyUsers && len(s.userQ) > 0 {
-			oldest := s.userQ[0]
-			s.userQ = s.userQ[1:]
-			old := s.history[oldest]
-			if old == nil {
-				continue
-			}
-			if old.touched {
-				old.touched = false
-				s.userQ = append(s.userQ, oldest)
-				continue
-			}
-			delete(s.history, oldest)
-		}
-		uh = &userHistory{}
-		s.history[key] = uh
-		s.userQ = append(s.userQ, key)
+	rels, _ := s.history.Get(key)
+	rels = append(rels, rel)
+	if len(rels) > s.historyLimit {
+		rels = rels[len(rels)-s.historyLimit:]
 	}
-	uh.touched = true
-	uh.rels = append(uh.rels, rel)
-	if len(uh.rels) > s.historyLimit {
-		uh.rels = uh.rels[len(uh.rels)-s.historyLimit:]
-	}
+	s.history.Put(key, rels, true)
 }
 
 // principalFromRequest resolves the principal a release is charged to
@@ -375,16 +350,10 @@ func (s *LBSServer) handleReleases(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := historyKey{s.principalFromRequest(r, ReleaseRequest{UserID: userID}), userID}
+	// A read is activity too: Get marks the user so eviction spares it.
 	s.mu.Lock()
-	var out []ReleaseRequest
-	if uh := s.history[key]; uh != nil {
-		// A read is activity too: mark the user so eviction spares it.
-		uh.touched = true
-		out = make([]ReleaseRequest, len(uh.rels))
-		copy(out, uh.rels)
-	} else {
-		out = []ReleaseRequest{}
-	}
+	rels, _ := s.history.Get(key)
+	out := append([]ReleaseRequest{}, rels...)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, ReleasesResponse{UserID: userID, Releases: out})
 }

@@ -66,6 +66,53 @@ func TestLBSHistoryUserCapBoundsFlood(t *testing.T) {
 	}
 }
 
+// TestLBSHistoryCapIsTenantFair: one tenant's flood of fresh userIds
+// must evict its own histories, not another tenant's. Bob stores one
+// release, alice releases under 20 fresh userIds against a cap of 8,
+// and bob's read must still return his release.
+func TestLBSHistoryCapIsTenantFair(t *testing.T) {
+	const cap = 8
+	ts, _ := newLBSTestServer(t, WithHistoryUsers(cap), WithAuth(mustKeyring(t, "alice", "bob")))
+	alice := NewLBSClient(ts.URL, ts.Client(), WithSigningKey("alice", testKey('A')))
+	bob := NewLBSClient(ts.URL, ts.Client(), WithSigningKey("bob", testKey('B')))
+	ctx := context.Background()
+	rel := testRelease(t, "bob-user")
+	if _, err := bob.Release(ctx, rel); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		rel.UserID = fmt.Sprintf("alice-%d", i)
+		if _, err := alice.Release(ctx, rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fetchSnapshot(t, ts.URL).Counters[MetricLBSHistoryUsers]; got != cap {
+		t.Errorf("%s = %d, want the cap %d", MetricLBSHistoryUsers, got, cap)
+	}
+	if got := releaseRadii(t, bob, "bob-user"); len(got) != 1 {
+		t.Errorf("bob's history holds %d releases after alice's flood, want 1", len(got))
+	}
+}
+
+// TestLBSHistoryLimitBelowOneIgnored: a history limit below 1 is
+// ignored like a user cap below 1, so releases are stored under the
+// default limit. A limit of -1 would slice the history out of range
+// after the release was charged, and a limit of 0 would store nothing.
+func TestLBSHistoryLimitBelowOneIgnored(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		_, client := newLBSTestServer(t, WithHistoryLimit(n))
+		rel := testRelease(t, "u1")
+		for i := 0; i < 2; i++ {
+			if _, err := client.Release(context.Background(), rel); err != nil {
+				t.Fatalf("limit %d: release %d: %v", n, i, err)
+			}
+		}
+		if got := releaseRadii(t, client, "u1"); len(got) != 2 {
+			t.Errorf("limit %d: history holds %d releases, want 2", n, len(got))
+		}
+	}
+}
+
 // slowAuditor injects fixed per-release service time, giving the
 // overload e2e a realistic bottleneck to saturate.
 type slowAuditor struct{ d time.Duration }
